@@ -439,16 +439,17 @@ int main(int argc, char** argv) {
     }
 
     {
-      // Resume: journal half the trials, then re-run the full list.
+      // Resume: commit half the trials to a store, then re-run the full
+      // list against it.
       SleepEvaluator sleeper;
       const nas::Experiment experiment(sleeper, latency::NnMeter::shared());
       const auto configs = lattice_sample(32);
-      const std::string journal = "bench_nas_journal.dcj";
-      std::remove(journal.c_str());
+      const std::string store_dir = "bench_nas_resume_store";
+      std::filesystem::remove_all(store_dir);
       nas::SchedulerOptions opt;
       opt.threads = 8;
-      opt.journal_path = journal;
-      opt.fsync_journal = false;
+      opt.store_dir = store_dir;
+      opt.fsync_store = false;
       {
         nas::TrialScheduler warm(experiment, opt);
         (void)warm.run(std::vector<nas::TrialConfig>(
@@ -462,10 +463,10 @@ int main(int argc, char** argv) {
       g_resume_saved_pct =
           100.0 * static_cast<double>(resume.stats().resumed) /
           static_cast<double>(configs.size());
-      std::printf("resume: %zu/%zu trials served from the journal "
+      std::printf("resume: %zu/%zu trials served from the store "
                   "(%.2fs for the rest)\n",
                   resume.stats().resumed, configs.size(), resumed_s);
-      std::remove(journal.c_str());
+      std::filesystem::remove_all(store_dir);
     }
 
     {

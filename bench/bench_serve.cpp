@@ -1,13 +1,13 @@
 /// bench_serve — measured serving performance of the deployed DCNX artifact.
 ///
 /// Reproduction payload: trains/saves a small drainage model, then drives
-/// the src/serve subsystem (registry -> dynamic batcher -> workers) with 64
-/// requests per batching policy, sweeping max_batch 1..32 through BOTH
-/// serving paths: the compiled-plan executor (fused kernels + static arena,
-/// the default) and the op-by-op GraphExecutor baseline. A direct-run
-/// section measures per-image latency of each path at batch 1 and batch 8,
-/// and a steady-state section asserts the plan path performs zero arena
-/// allocations after warmup ("plan_alloc_ok" — the serve-bench CI gate).
+/// the src/serve subsystem (registry -> dynamic batcher -> workers, serving
+/// the compiled plan) with 64 requests per batching policy, sweeping
+/// max_batch 1..32. A direct-run section measures per-image latency of the
+/// compiled plan against the op-by-op GraphExecutor it was compiled from
+/// at batch 1 and batch 8, and a steady-state section asserts the plan
+/// performs zero arena allocations after warmup ("plan_alloc_ok" — the
+/// serve-bench CI gate).
 /// Emits a table of throughput (img/s) and p50/p95/p99 end-to-end latency
 /// per policy, plus BENCH_serve.json for downstream tooling. The
 /// nn-Meter-style predicted latency for the same architecture is printed
@@ -99,19 +99,17 @@ ServeBenchContext& ctx() {
 
 struct PolicyResult {
   std::int64_t max_batch = 0;
-  bool via_plan = true;
   double throughput = 0.0;
   serve::LatencySummary latency;
   std::int64_t errors = 0;
 };
 
-PolicyResult run_policy(std::int64_t max_batch, bool use_plans) {
+PolicyResult run_policy(std::int64_t max_batch) {
   ServeBenchContext& c = ctx();
   serve::ServerOptions sopt;
   sopt.num_workers = kWorkers;
   sopt.batch.max_batch = max_batch;
   sopt.batch.max_delay = std::chrono::microseconds(2000);
-  sopt.use_plans = use_plans;
   serve::Server server(c.registry, sopt);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -127,7 +125,6 @@ PolicyResult run_policy(std::int64_t max_batch, bool use_plans) {
 
   PolicyResult r;
   r.max_batch = max_batch;
-  r.via_plan = use_plans;
   r.throughput = static_cast<double>(c.inputs.size()) / seconds;
   r.latency = server.metrics().latency_summary("drainage");
   r.errors = server.metrics().error_count("drainage");
@@ -135,8 +132,8 @@ PolicyResult run_policy(std::int64_t max_batch, bool use_plans) {
   return r;
 }
 
-/// Direct (no batcher) per-image latency of one serving path at one batch
-/// size: mean over \p iters timed runs after a small warmup.
+/// Direct (no batcher) per-image latency of the graph and the plan at one
+/// batch size: mean over \p iters timed runs after a small warmup.
 struct DirectResult {
   std::int64_t batch = 0;
   double graph_ms_per_img = 0.0;
@@ -250,12 +247,11 @@ void write_json(const std::vector<PolicyResult>& results,
   for (std::size_t i = 0; i < results.size(); ++i) {
     const PolicyResult& r = results[i];
     std::fprintf(f,
-                 "    {\"max_batch\": %lld, \"path\": \"%s\", "
+                 "    {\"max_batch\": %lld, "
                  "\"throughput_img_per_s\": %.2f, "
                  "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, "
                  "\"mean_ms\": %.3f, \"errors\": %lld}%s\n",
-                 static_cast<long long>(r.max_batch),
-                 r.via_plan ? "plan" : "graph", r.throughput,
+                 static_cast<long long>(r.max_batch), r.throughput,
                  r.latency.p50_ms, r.latency.p95_ms, r.latency.p99_ms,
                  r.latency.mean_ms, static_cast<long long>(r.errors),
                  i + 1 < results.size() ? "," : "");
@@ -288,17 +284,14 @@ void print_report() {
 
   std::vector<PolicyResult> results;
   std::printf(
-      "path   max_batch  throughput(img/s)   p50ms   p95ms   p99ms  errors\n");
-  for (const bool use_plans : {true, false}) {
-    for (const std::int64_t max_batch : {1, 2, 4, 8, 16, 32}) {
-      const PolicyResult r = run_policy(max_batch, use_plans);
-      std::printf("%-6s %9lld %18.1f %7.2f %7.2f %7.2f %7lld\n",
-                  r.via_plan ? "plan" : "graph",
-                  static_cast<long long>(r.max_batch), r.throughput,
-                  r.latency.p50_ms, r.latency.p95_ms, r.latency.p99_ms,
-                  static_cast<long long>(r.errors));
-      results.push_back(r);
-    }
+      "max_batch  throughput(img/s)   p50ms   p95ms   p99ms  errors\n");
+  for (const std::int64_t max_batch : {1, 2, 4, 8, 16, 32}) {
+    const PolicyResult r = run_policy(max_batch);
+    std::printf("%9lld %18.1f %7.2f %7.2f %7.2f %7lld\n",
+                static_cast<long long>(r.max_batch), r.throughput,
+                r.latency.p50_ms, r.latency.p95_ms, r.latency.p99_ms,
+                static_cast<long long>(r.errors));
+    results.push_back(r);
   }
 
   std::printf("\ndirect run (no batcher), per-image latency:\n");

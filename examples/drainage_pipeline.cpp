@@ -3,8 +3,8 @@
 /// and extract the Pareto front — printing every table/figure on the way.
 ///
 /// Usage: ./examples/drainage_pipeline [--trials N] [--out-dir DIR]
-///                                     [--threads N] [--journal PATH]
-///                                     [--prune] [--store DIR] [--workers N]
+///                                     [--threads N] [--prune]
+///                                     [--store DIR] [--workers N]
 ///                                     [--wide] [--smoke]
 ///   --trials N   subsample the 1,728-point lattice (default: full sweep)
 ///   --out-dir    where to write fig3_scatter.csv / fig4_radar.csv /
@@ -12,14 +12,14 @@
 ///   --threads N  run the sweep through the parallel trial scheduler on N
 ///                threads (0 = all cores); byte-identical trials.csv to the
 ///                serial default
-///   --journal    crash-safe resume journal; re-running after an interrupt
-///                skips already-evaluated trials (implies the scheduler)
 ///   --prune      median-stop fold pruning (saves fold evaluations but
 ///                drops pruned trials from the artifacts; off for paper
 ///                reproduction)
 ///   --store DIR  memory-mapped trial store directory: sweeps stream
-///                through the store (crash/resume safe, multi-process
-///                capable) instead of holding everything in memory
+///                through the store instead of holding everything in
+///                memory; re-running after an interrupt skips the trials
+///                already committed (crash/resume safe, multi-process
+///                capable)
 ///   --workers N  with --store: fork N worker processes sharing the store
 ///                (default 1 = single-process streamed run)
 ///   --wide       with --store: sweep the 138,240-point wide lattice
@@ -60,10 +60,17 @@ std::vector<nas::TrialConfig> stride_sample(const nas::SearchSpaceSpec& spec,
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  if (args.has("journal")) {
+    // CliArgs accepts any key, so without this a resume flag from older
+    // scripts would silently run a sweep that cannot resume.
+    std::fprintf(stderr,
+                 "drainage_pipeline: --journal is no longer supported; use "
+                 "--store DIR to make the sweep resumable\n");
+    return 2;
+  }
   const long long trials = args.get_int("trials", 0);
   const std::string out_dir = args.get(std::string("out-dir"), ".");
   const long long threads = args.get_int("threads", -1);
-  const std::string journal = args.get(std::string("journal"), "");
   const bool prune = args.get_flag("prune");
   const std::string store_dir = args.get(std::string("store"), "");
   const long long workers = args.get_int("workers", 1);
@@ -79,11 +86,10 @@ int main(int argc, char** argv) {
   std::printf("%s\n", core::table2_text(latency::NnMeter::shared()).c_str());
 
   core::PipelineOptions options;
-  if (threads >= 0 || !journal.empty() || prune || !store_dir.empty()) {
+  if (threads >= 0 || prune || !store_dir.empty()) {
     options.use_scheduler = true;
     options.scheduler.threads =
         threads > 0 ? static_cast<std::size_t>(threads) : 0;
-    options.scheduler.journal_path = journal;
     options.scheduler.pruner.enabled = prune;
     options.scheduler.log_progress = true;
   }

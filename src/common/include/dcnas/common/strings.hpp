@@ -34,12 +34,7 @@ double parse_double(std::string_view s, std::string_view context);
 /// Locale-independent strict integer parse; same contract as parse_double.
 long long parse_int(std::string_view s, std::string_view context);
 
-/// Shortest decimal representation that parses back to exactly \p value
-/// (std::to_chars round-trip guarantee) — used where persisted doubles must
-/// survive a save/load cycle bit-for-bit (e.g. the NAS resume journal).
-std::string format_double_roundtrip(double value);
-
-/// FNV-1a 64-bit hash — journal line checksums and bench parity hashes.
+/// FNV-1a 64-bit hash — trial store CRCs and bench parity hashes.
 std::uint64_t fnv1a64(std::string_view s);
 
 /// Joins items with a separator.

@@ -78,13 +78,6 @@ long long parse_int(std::string_view s, std::string_view context) {
   return value;
 }
 
-std::string format_double_roundtrip(double value) {
-  char buf[64];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), value);
-  DCNAS_ASSERT(result.ec == std::errc{}, "to_chars failed");
-  return std::string(buf, result.ptr);
-}
-
 std::uint64_t fnv1a64(std::string_view s) {
   std::uint64_t h = 1469598103934665603ull;
   for (const char c : s) {

@@ -56,7 +56,6 @@ SweepResult HwNasPipeline::run_store_sweep(const nas::SearchSpaceSpec& spec,
   const nas::Experiment experiment(*evaluator_, latency::NnMeter::shared(),
                                    options_.experiment);
   nas::SchedulerOptions sched = options_.scheduler;
-  sched.journal_path.clear();  // the store subsumes the journal
   sched.store_dir = store_dir;
   sched.store_fingerprint = spec.fingerprint();
   if (workers <= 1) {

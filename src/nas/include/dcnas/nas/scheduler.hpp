@@ -26,16 +26,17 @@
 /// kernels are bitwise thread-count-independent. The parity is enforced by
 /// tests and hashed into BENCH_nas.json on every CI run.
 ///
-/// **Resume journal.** With a `journal_path`, every finished trial is
-/// appended (and fsynced) to a crash-safe journal keyed by lattice_key()
-/// before the run completes; re-running an interrupted search evaluates
-/// only the configs the journal does not hold (see journal.hpp).
+/// **Resume.** With a `store_dir`, every finished trial is committed (and
+/// fsynced) to the crash-safe TrialStore keyed by lattice_key() before the
+/// run completes; re-running an interrupted search — in this process or
+/// another — evaluates only the configs the store does not hold (see
+/// store/trial_store.hpp).
 ///
 /// **Median-stop pruner.** Off by default so exact-reproduction paths are
 /// untouched. When enabled, a trial whose running mean accuracy after n
 /// completed folds falls below the median of completed trials' same-step
 /// running means (minus `margin`) skips its remaining folds and is
-/// journaled as pruned; pruned trials are excluded from the returned
+/// committed as pruned; pruned trials are excluded from the returned
 /// database. Pruning decisions depend on completion timing and are the one
 /// intentionally nondeterministic feature — surviving trials' recorded
 /// fold accuracies are still exactly the serial values.
@@ -49,7 +50,6 @@
 
 #include "dcnas/common/thread_pool.hpp"
 #include "dcnas/nas/experiment.hpp"
-#include "dcnas/nas/journal.hpp"
 #include "dcnas/nas/store/trial_store.hpp"
 
 namespace dcnas::nas {
@@ -101,16 +101,10 @@ struct SchedulerOptions {
   /// 1 = folds are strictly single-threaded compute (the default; trials x
   /// folds already saturate the pool).
   std::size_t kernel_threads_per_trial = 1;
-  /// Crash-safe resume journal; empty disables journaling. Legacy path —
-  /// the journal's line format carries neither precision nor depth, so it
-  /// only round-trips paper-lattice configs; wide-lattice runs use the
-  /// store instead.
-  std::string journal_path;
-  /// fsync after every journal append (keep on outside tests).
-  bool fsync_journal = true;
   /// Memory-mapped TrialStore directory; empty disables the store. When
-  /// set, finished trials commit to the store (resume works like the
-  /// journal but across *processes*) and run_streamed becomes available.
+  /// set, finished trials commit to the store (so an interrupted run
+  /// resumes, across threads and processes) and run_streamed becomes
+  /// available.
   std::string store_dir;
   /// fsync every store commit (crash safety; benches may disable).
   bool fsync_store = true;
@@ -123,7 +117,7 @@ struct SchedulerOptions {
 
 struct SchedulerStats {
   std::size_t scheduled = 0;        ///< configs evaluated this run
-  std::size_t resumed = 0;          ///< configs satisfied by the journal
+  std::size_t resumed = 0;          ///< configs satisfied by the store
   std::size_t completed = 0;        ///< trials fully evaluated this run
   std::size_t pruned = 0;           ///< trials median-stopped this run
   std::size_t folds_evaluated = 0;  ///< fold tasks that ran to completion
@@ -143,7 +137,7 @@ class TrialScheduler {
   TrialScheduler(const TrialScheduler&) = delete;
   TrialScheduler& operator=(const TrialScheduler&) = delete;
 
-  /// Evaluates every config (journal hits excepted) and returns the merged
+  /// Evaluates every config (store hits excepted) and returns the merged
   /// database — byte-identical CSV to Experiment::run_all(configs) when
   /// pruning is off. The first evaluator/verifier exception aborts the run
   /// (in-flight folds drain, remaining trials are skipped) and is rethrown.
@@ -188,10 +182,9 @@ class TrialScheduler {
   bool abort_ = false;
   std::exception_ptr first_error_;
   std::unique_ptr<MedianStopRule> rule_;
-  /// Serializes commits and history lookups (TrialJournal and the store's
-  /// in-handle key index are not MT-safe).
-  std::mutex journal_mu_;
-  std::unique_ptr<TrialJournal> journal_;
+  /// Serializes store commits and history lookups (the store's in-handle
+  /// key index is not MT-safe).
+  std::mutex history_mu_;
   std::unique_ptr<TrialStore> store_;
   std::vector<std::unique_ptr<TrialState>> trials_;
   /// Streamed-mode live set: finalize_trial retires entries so memory does

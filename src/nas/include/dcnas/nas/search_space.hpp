@@ -49,7 +49,7 @@ struct TrialConfig {
   /// paper's ResNet-18 and the only depth on the 1,728-point lattice; the
   /// wide lattice (SearchSpaceSpec::wide) explores the other levels. Keys
   /// and encode() are unchanged at the default so every pre-existing
-  /// journal/store artifact stays valid.
+  /// store/CSV artifact stays valid.
   int depth = 2;
 
   bool with_pool() const { return pool_choice == 0; }

@@ -12,8 +12,8 @@
 ///                      file, preallocated with ftruncate and mmap'd
 ///
 /// Every multi-byte field is little-endian host order (the store is a
-/// single-host artifact, like the journal); every CRC is the repo's FNV-1a
-/// 64 over the struct bytes with the crc field zeroed.
+/// single-host artifact); every CRC is the repo's FNV-1a 64 over the struct
+/// bytes with the crc field zeroed.
 ///
 /// **Commit protocol** (holding the store.lock exclusive region lock):
 ///   1. pread + validate the ControlBlock (recover first if its CRC fails)
@@ -23,11 +23,10 @@
 ///   5. pwrite + fsync the updated ControlBlock (counters + new CRC)
 /// A crash before step 5 leaves a torn tail *beyond* the committed
 /// counters; the next open truncates the pool back to
-/// committed_string_bytes and zeroes slots past committed_records, exactly
-/// the journal's drop-the-torn-tail rule. A crash *during* step 5 leaves a
-/// bad control CRC; the next open rebuilds the counters by scanning chunk
-/// records (each slot carries its own CRC) and accepting the longest valid
-/// prefix.
+/// committed_string_bytes and zeroes slots past committed_records. A crash
+/// *during* step 5 leaves a bad control CRC; the next open rebuilds the
+/// counters by scanning chunk records (each slot carries its own CRC) and
+/// accepting the longest valid prefix.
 
 #include <cstdint>
 

@@ -31,7 +31,7 @@ struct MultiProcSweepOptions {
   /// streamed run, still through the store).
   int workers = 2;
   /// Per-worker scheduler options. store_dir/store_fingerprint are set by
-  /// the driver; journal_path must be empty (the store subsumes it).
+  /// run_multiprocess_sweep.
   SchedulerOptions scheduler;
 };
 

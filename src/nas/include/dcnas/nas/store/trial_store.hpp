@@ -4,9 +4,9 @@
 /// source of truth for NAS sweeps (DESIGN.md §14).
 ///
 /// The CSV TrialDatabase materializes every record in memory and rewrites
-/// the whole file per save; the PR 5 journal appends text lines but still
-/// replays into RAM. Neither survives a 10^5–10^6-point lattice, and
-/// neither lets two *processes* share one sweep. The TrialStore does both:
+/// the whole file per save, so it neither survives a 10^5–10^6-point
+/// lattice nor lets two *processes* share one sweep. The TrialStore does
+/// both, and it is the one resume mechanism TrialScheduler has:
 ///
 ///  - fixed-size binary records in preallocated, mmap'd chunk files, so a
 ///    reader touches only the pages it needs and an appender never rewrites
@@ -32,10 +32,23 @@
 #include <string>
 #include <vector>
 
-#include "dcnas/nas/journal.hpp"
+#include "dcnas/nas/experiment.hpp"
 #include "dcnas/nas/store/format.hpp"
 
 namespace dcnas::nas {
+
+/// Outcome a store record holds for one trial.
+enum class TrialStatus { kOk, kPruned };
+
+/// One committed trial: the unit TrialStore::append writes and find/read
+/// hand back.
+struct JournalEntry {
+  TrialStatus status = TrialStatus::kOk;
+  TrialRecord record;  ///< fold_accuracies is partial when pruned
+  /// Fold indices actually evaluated, aligned with record.fold_accuracies
+  /// (0..K-1 in order for kOk; the completed subset for kPruned).
+  std::vector<int> fold_indices;
+};
 
 struct TrialStoreOptions {
   /// Expected SearchSpaceSpec::fingerprint(). Creating a store stamps it
@@ -77,12 +90,13 @@ class TrialStore {
   /// loaded into the key index; returns the number of new records seen.
   std::uint64_t refresh();
 
-  /// Decodes committed record \p i (throws on out-of-range or a corrupt
-  /// committed slot — which recovery can never legitimately leave behind).
+  /// Decodes committed record \p i. Throws InvalidArgument on out-of-range
+  /// or on a corrupt committed slot (which recovery can never legitimately
+  /// leave behind); the message names the store directory and \p i. Open
+  /// decodes every committed record, so such a store refuses to open.
   JournalEntry read(std::uint64_t i) const;
 
-  /// Latest committed entry for a lattice key, or nullptr. Last write wins,
-  /// mirroring TrialJournal::find.
+  /// Latest committed entry for a lattice key, or nullptr. Last write wins.
   const JournalEntry* find(const std::string& lattice_key) const;
 
   /// Commits one entry: strings + record + control publish under the store
@@ -102,10 +116,6 @@ class TrialStore {
   /// Bulk-imports a CSV database (every record committed as kOk with folds
   /// 0..K-1). Existing keys are overwritten by the last-wins find rule.
   void import_database(const TrialDatabase& db);
-
-  /// Bulk-imports every entry of a journal file (the PR 5 → store
-  /// migration path).
-  void import_journal(const std::string& journal_path);
 
   const std::string& dir() const { return dir_; }
   const StoreRecovery& recovery() const { return recovery_; }
@@ -144,7 +154,7 @@ class TrialStore {
   int pool_fd_ = -1;
   mutable std::vector<Chunk> chunks_;
   /// lattice_key -> latest committed record index, plus its decoded entry
-  /// (find() returns stable pointers like the journal).
+  /// (find() returns stable pointers into this map).
   std::map<std::string, JournalEntry> by_key_;
 };
 

@@ -63,7 +63,7 @@ CsvTable TrialDatabase::to_csv() const {
 }
 
 TrialDatabase TrialDatabase::from_csv(const CsvTable& table) {
-  // Loads are a trust boundary (resume journals, hand-edited artifacts), so
+  // Loads are a trust boundary (saved sweep CSVs, hand-edited artifacts), so
   // every numeric cell parses locale-independently and failures name the
   // row/column instead of surfacing a bare std::stod exception. Fold lists
   // must be non-empty and the same length on every row: a truncated or
@@ -83,8 +83,8 @@ TrialDatabase TrialDatabase::from_csv(const CsvTable& table) {
     r.config.stride_pool = static_cast<int>(table.at_int(i, "stride_pool"));
     r.config.initial_output_feature =
         static_cast<int>(table.at_int(i, "initial_output_feature"));
-    // Optional columns: journals written before the precision/depth axes
-    // carry neither and load as fp32 ResNet-18.
+    // Optional columns: CSVs written before the precision/depth axes carry
+    // neither and load as fp32 ResNet-18.
     r.config.precision = table.has_column("precision")
                              ? static_cast<int>(table.at_int(i, "precision"))
                              : 0;

@@ -144,11 +144,6 @@ void TrialScheduler::prepare_run() {
     inflight_ = 0;
   }
   rule_ = std::make_unique<MedianStopRule>(options_.pruner);
-  journal_.reset();
-  if (!options_.journal_path.empty()) {
-    journal_ = std::make_unique<TrialJournal>(options_.journal_path,
-                                              options_.fsync_journal);
-  }
   store_.reset();
   if (!options_.store_dir.empty()) {
     TrialStoreOptions sopt;
@@ -159,14 +154,11 @@ void TrialScheduler::prepare_run() {
 }
 
 bool TrialScheduler::resolve_from_history(TrialState* trial) {
-  // Store first (the multi-process source of truth), then the journal.
-  // Copy under journal_mu_: in streamed mode finalizes append (and thus
+  if (store_ == nullptr) return false;
+  // Copy under history_mu_: in streamed mode finalizes append (and thus
   // mutate the store's key index) concurrently with admission lookups.
-  std::lock_guard<std::mutex> lock(journal_mu_);
-  const std::string key = trial->config.lattice_key();
-  const JournalEntry* entry = nullptr;
-  if (store_ != nullptr) entry = store_->find(key);
-  if (entry == nullptr && journal_ != nullptr) entry = journal_->find(key);
+  std::lock_guard<std::mutex> lock(history_mu_);
+  const JournalEntry* entry = store_->find(trial->config.lattice_key());
   if (entry == nullptr) return false;
   if (entry->status == TrialStatus::kOk &&
       entry->record.fold_accuracies.size() ==
@@ -184,9 +176,8 @@ bool TrialScheduler::resolve_from_history(TrialState* trial) {
 }
 
 void TrialScheduler::commit_entry(const JournalEntry& entry) {
-  std::lock_guard<std::mutex> lock(journal_mu_);
-  if (store_ != nullptr) store_->append(entry);
-  if (journal_ != nullptr) journal_->append(entry);
+  std::lock_guard<std::mutex> lock(history_mu_);
+  store_->append(entry);
 }
 
 TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
@@ -203,7 +194,7 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
   const int folds = experiment_.evaluator().fold_count();
   DCNAS_CHECK(folds >= 1, "evaluator must report >= 1 fold");
 
-  // Resolve every config against the store/journal history; the rest
+  // Resolve every config against the store history; the rest
   // become pending work.
   trials_.clear();
   trials_.reserve(configs.size());
@@ -540,20 +531,20 @@ void TrialScheduler::finalize_trial(TrialState* trial) {
   }
   // An aborted run leaves fold tasks skipped on trials that neither failed
   // nor pruned themselves (done < folds). Those are incomplete: a kOk
-  // journal entry would persist zero-filled accuracies that a resume run
-  // trusts verbatim, so they get no journal entry and no keep-slot — the
+  // store record would persist zero-filled accuracies that a resume run
+  // trusts verbatim, so they get no store record and no keep-slot — the
   // next run re-evaluates them from scratch.
   const bool complete = !failed && !pruned && done == trial->folds;
 
   // Nothing below may escape: this runs on a pool worker, and run() blocks
-  // on inflight_ reaching zero — an escaped exception (journal append on a
+  // on inflight_ reaching zero — an escaped exception (store append on a
   // full disk, fill_hardware_objectives) would skip the bookkeeping and
   // hang the run forever instead of reporting the error.
   bool finalize_ok = true;
   try {
     if (!failed && pruned) {
       DCNAS_TRACE_SPAN("nas", "nas.sched.trial.pruned");
-      if (journal_ != nullptr || store_ != nullptr) {
+      if (store_ != nullptr) {
         JournalEntry entry;
         entry.status = TrialStatus::kPruned;
         entry.record.config = trial->config;
@@ -579,7 +570,7 @@ void TrialScheduler::finalize_trial(TrialState* trial) {
       if (options_.pruner.enabled) {
         rule_->report_completed(running_means(record.fold_accuracies));
       }
-      if (journal_ != nullptr || store_ != nullptr) {
+      if (store_ != nullptr) {
         JournalEntry entry;
         entry.status = TrialStatus::kOk;
         entry.record = record;

@@ -101,7 +101,7 @@ std::string TrialConfig::lattice_key() const {
   os << canonical_arch_key() << "_b" << batch << "_pc" << pool_choice << "_pk"
      << kernel_size_pool << "_ps" << stride_pool;
   // Suffix only when quantized: every pre-existing fp32 key is unchanged,
-  // so resume journals written before the precision axis stay valid.
+  // so stores and CSVs written before the precision axis stay valid.
   if (int8()) os << "_q8";
   return os.str();
 }

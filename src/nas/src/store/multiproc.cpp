@@ -46,8 +46,6 @@ MultiProcSweepStats run_multiprocess_sweep(
     const Experiment& experiment, const SearchSpaceSpec& spec,
     const std::string& store_dir, const MultiProcSweepOptions& options) {
   DCNAS_CHECK(options.workers >= 1, "multi-process sweep needs >= 1 worker");
-  DCNAS_CHECK(options.scheduler.journal_path.empty(),
-              "multi-process sweeps use the store, not a journal");
   spec.validate();
   const auto t0 = std::chrono::steady_clock::now();
 

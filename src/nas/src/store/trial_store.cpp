@@ -270,8 +270,7 @@ void TrialStore::rebuild_control_locked() {
   const std::uint64_t pool_bytes = file_size(pool_fd_, "stat strings.pool");
 
   // Accept the longest valid record prefix (each record carries its CRC;
-  // the first invalid slot ends the committed region, like the journal
-  // dropping everything from the first torn line).
+  // the first invalid slot ends the committed region).
   std::uint64_t records = 0;
   std::uint64_t string_end = 0;
   bool done = false;
@@ -325,8 +324,7 @@ void TrialStore::recover_locked() {
   }
 
   // Torn record slots: zero everything past the committed counter so the
-  // chunk files never accumulate garbage mid-stream (the journal's
-  // truncate-before-append rule, adapted to fixed-size slots).
+  // chunk files never accumulate garbage mid-stream.
   static const TrialSlot kZeroSlot{};
   bool wrote = false;
   for (std::uint64_t ci = 0;; ++ci) {
@@ -484,7 +482,8 @@ JournalEntry TrialStore::read(std::uint64_t i) const {
   TrialSlot slot;
   std::memcpy(&slot, slot_ptr(i), sizeof(slot));
   DCNAS_CHECK(slot.crc == slot_crc(slot),
-              "committed store record failed its CRC (corrupt store)");
+              "committed store record " + std::to_string(i) + " in " + dir_ +
+                  " failed its CRC (corrupt store)");
   return decode_slot(slot);
 }
 
@@ -611,14 +610,6 @@ void TrialStore::import_database(const TrialDatabase& db) {
     for (std::size_t f = 0; f < entry.fold_indices.size(); ++f) {
       entry.fold_indices[f] = static_cast<int>(f);
     }
-    append(entry);
-  }
-}
-
-void TrialStore::import_journal(const std::string& journal_path) {
-  const TrialJournal journal(journal_path, /*fsync_each=*/false);
-  for (const auto& [key, entry] : journal.entries()) {
-    (void)key;
     append(entry);
   }
 }

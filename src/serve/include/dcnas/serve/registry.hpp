@@ -31,9 +31,9 @@
 
 namespace dcnas::serve {
 
-/// One coherent view of a registered model: the executor, the plan compiled
-/// from exactly that executor's weights (nullptr when plan compilation is
-/// disabled), and the version both belong to.
+/// One coherent view of a registered model: the executor, the verified plan
+/// compiled from exactly that executor's weights, and the version both
+/// belong to.
 struct ModelSnapshot {
   std::shared_ptr<const graph::GraphExecutor> exec;
   std::shared_ptr<const plan::PlanExecutor> plan;
@@ -45,10 +45,7 @@ class ModelRegistry {
  public:
   /// \p capacity bounds the number of resident models; 0 means unbounded.
   /// Registering past capacity evicts the least-recently-used other model.
-  /// \p compile_plans controls whether register_model also compiles and
-  /// caches a fused-plan executor (on by default; turn off to serve
-  /// op-by-op, e.g. for differential benchmarking).
-  explicit ModelRegistry(std::size_t capacity = 0, bool compile_plans = true);
+  explicit ModelRegistry(std::size_t capacity = 0);
 
   /// Registers (or hot-swaps) \p name; returns the new version number.
   /// Versions start at 1 and survive eviction, so a reloaded model never
@@ -81,8 +78,8 @@ class ModelRegistry {
 
   /// Returns the resident {executor, plan, version} triple from one locked
   /// read and bumps LRU recency. Throws InvalidArgument when \p name is not
-  /// registered. This is the serving lookup: Server::handle_batch runs
-  /// snapshot().plan when present.
+  /// registered. This is the serving lookup: every served batch runs
+  /// snapshot().plan.
   ModelSnapshot snapshot(const std::string& name) const;
 
   bool contains(const std::string& name) const;
@@ -99,7 +96,6 @@ class ModelRegistry {
 
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
-  bool compiles_plans() const { return compile_plans_; }
 
  private:
   struct Entry {
@@ -117,7 +113,6 @@ class ModelRegistry {
   mutable Mutex mu_;
   mutable std::uint64_t tick_ GUARDED_BY(mu_) = 0;
   std::size_t capacity_;
-  bool compile_plans_;
   /// mutable: get() bumps LRU
   mutable std::map<std::string, Entry> entries_ GUARDED_BY(mu_);
   /// monotone, survives eviction

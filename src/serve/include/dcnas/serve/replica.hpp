@@ -43,7 +43,7 @@ class Replica {
   /// \p metrics is shared across the owning group's replicas (ServingMetrics
   /// is thread-safe) and must outlive the replica.
   Replica(std::shared_ptr<ModelRegistry> registry, const BatchPolicy& policy,
-          std::size_t num_workers, bool use_plans, ServingMetrics* metrics);
+          std::size_t num_workers, ServingMetrics* metrics);
   ~Replica();
 
   Replica(const Replica&) = delete;
@@ -74,7 +74,6 @@ class Replica {
   void handle_batch(Batch&& batch) noexcept;
 
   std::shared_ptr<ModelRegistry> registry_;
-  bool use_plans_;
   ServingMetrics* metrics_;
   DynamicBatcher batcher_;
   ThreadPool pool_;  ///< last member: destroyed (joined) first
@@ -85,7 +84,6 @@ struct ReplicaGroupOptions {
   std::size_t num_replicas = 1;    ///< independent {batcher, pool} units
   std::size_t workers_per_replica = 2;
   BatchPolicy batch;               ///< per replica (capacity is per replica)
-  bool use_plans = true;
 };
 
 /// N replicas behind power-of-two-choices routing. Thread-safe: submit()

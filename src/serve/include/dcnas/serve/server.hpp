@@ -6,8 +6,8 @@
 /// submit() admits one image and returns a future; the ReplicaGroup routes
 /// it to one of num_replicas independent {batcher, pool} units
 /// (power-of-two-choices on pending depth — see replica.hpp). Workers pop
-/// merged batches, look the model up in the ModelRegistry, run the (const,
-/// reentrant) compiled plan or GraphExecutor, and answer each request's
+/// merged batches, look the model up in the ModelRegistry, run its (const,
+/// reentrant) verified compiled plan, and answer each request's
 /// future with its row of the batched output. Overload surfaces as
 /// RejectedError from submit() with a typed RejectReason — the queues never
 /// grow past BatchPolicy.queue_capacity per replica; deadline-tagged
@@ -32,10 +32,6 @@ struct ServerOptions {
   std::size_t num_workers = 2;   ///< batch-executing threads *per replica*
   std::size_t num_replicas = 1;  ///< independent {batcher, pool} units
   BatchPolicy batch;             ///< per replica (capacity is per replica)
-  /// Serve from the registry's compiled plan when one is cached (fused
-  /// kernels + static arena); false forces the op-by-op GraphExecutor —
-  /// the differential baseline bench_serve compares against.
-  bool use_plans = true;
 };
 
 class Server {

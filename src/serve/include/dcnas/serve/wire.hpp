@@ -33,9 +33,10 @@
 ///
 /// WireServer accepts on a Unix-domain socket path or a TCP port (one
 /// handler thread per connection; frames on one connection are processed
-/// sequentially — clients wanting pipelining open several connections, as
-/// bench_load does). WireClient is the blocking client library used by the
-/// load generator, serve_daemon --self-test, and the integration tests.
+/// sequentially — clients wanting pipelining open several connections).
+/// WireClient is the blocking client library used by serve_daemon
+/// --self-test, the repobench serve_wire workload, and the integration
+/// tests.
 /// Malformed input (bad magic, truncated frame, oversized length, shape /
 /// payload mismatch) is answered with a kBadRequest frame where possible
 /// and the connection is closed; the server never crashes on garbage bytes

@@ -12,8 +12,7 @@
 
 namespace dcnas::serve {
 
-ModelRegistry::ModelRegistry(std::size_t capacity, bool compile_plans)
-    : capacity_(capacity), compile_plans_(compile_plans) {}
+ModelRegistry::ModelRegistry(std::size_t capacity) : capacity_(capacity) {}
 
 int ModelRegistry::register_model(const std::string& name,
                                   graph::GraphExecutor exec) {
@@ -31,7 +30,7 @@ int ModelRegistry::register_model(const std::string& name,
   // plan this registry compiled itself is re-verified before install —
   // serving never runs a plan the PlanVerifier has not passed.
   std::shared_ptr<const plan::PlanExecutor> compiled;
-  if (compile_plans_) {
+  {
     obs::Span span("serve", "serve.registry.plan_compile");
     if (span.armed()) span.arg("model", name);
     static obs::Counter& compiles = obs::MetricsRegistry::global().counter(

@@ -43,9 +43,8 @@ std::uint64_t route_draw() {
 
 Replica::Replica(std::shared_ptr<ModelRegistry> registry,
                  const BatchPolicy& policy, std::size_t num_workers,
-                 bool use_plans, ServingMetrics* metrics)
+                 ServingMetrics* metrics)
     : registry_(std::move(registry)),
-      use_plans_(use_plans),
       metrics_(metrics),
       batcher_(policy),
       pool_(num_workers == 0 ? 1 : num_workers) {
@@ -97,13 +96,10 @@ void Replica::handle_batch(Batch&& batch) noexcept {
     // triple, so a concurrent hot-swap can never pair this batch with a
     // stale plan.
     const ModelSnapshot snap = registry_->snapshot(batch.model);
-    const bool via_plan = use_plans_ && snap.plan != nullptr;
-    if (span.armed()) span.arg("path", via_plan ? "plan" : "graph");
     Tensor out;
     {
       ScopedTimer timer("serve/run_batch");
-      out = via_plan ? snap.plan->run(batch.input)
-                     : snap.exec->run(batch.input);
+      out = snap.plan->run(batch.input);
     }
     DCNAS_ASSERT(out.ndim() >= 1 && out.dim(0) == n,
                  "batched output row count mismatch");
@@ -144,8 +140,7 @@ ReplicaGroup::ReplicaGroup(std::shared_ptr<ModelRegistry> registry,
   replicas_.reserve(options.num_replicas);
   for (std::size_t i = 0; i < options.num_replicas; ++i) {
     replicas_.push_back(std::make_unique<Replica>(
-        registry, options.batch, options.workers_per_replica,
-        options.use_plans, metrics));
+        registry, options.batch, options.workers_per_replica, metrics));
   }
 }
 

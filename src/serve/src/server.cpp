@@ -7,7 +7,6 @@ ReplicaGroupOptions Server::group_options(const ServerOptions& options) {
   g.num_replicas = options.num_replicas == 0 ? 1 : options.num_replicas;
   g.workers_per_replica = options.num_workers == 0 ? 1 : options.num_workers;
   g.batch = options.batch;
-  g.use_plans = options.use_plans;
   return g;
 }
 

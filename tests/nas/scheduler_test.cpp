@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -11,7 +10,6 @@
 
 #include "dcnas/common/error.hpp"
 #include "dcnas/common/rng.hpp"
-#include "dcnas/common/strings.hpp"
 
 namespace dcnas::nas {
 namespace {
@@ -26,15 +24,15 @@ std::vector<TrialConfig> sample_configs(std::size_t n, std::uint64_t seed) {
 
 std::string csv_text(const TrialDatabase& db) { return db.to_csv().to_string(); }
 
-class TempPath {
+class TempDir {
  public:
-  explicit TempPath(const std::string& name)
+  explicit TempDir(const std::string& name)
       : path_((std::filesystem::temp_directory_path() /
                ("dcnas_sched_test_" + name))
                   .string()) {
-    std::remove(path_.c_str());
+    std::filesystem::remove_all(path_);
   }
-  ~TempPath() { std::remove(path_.c_str()); }
+  ~TempDir() { std::filesystem::remove_all(path_); }
   const std::string& str() const { return path_; }
 
  private:
@@ -80,18 +78,23 @@ TEST(SchedulerTest, DuplicateConfigsKeepSubmissionOrder) {
   EXPECT_EQ(parallel, csv_text(exp.run_all(configs)));
 }
 
-// ---- resume journal ---------------------------------------------------------
+// ---- resume from the store --------------------------------------------------
 
-TEST(SchedulerTest, ResumesFromJournalWithoutReevaluating) {
+SchedulerOptions store_options(const TempDir& dir, std::size_t threads) {
+  SchedulerOptions opt;
+  opt.threads = threads;
+  opt.store_dir = dir.str();
+  opt.fsync_store = false;
+  return opt;
+}
+
+TEST(SchedulerTest, ResumesFromStoreWithoutReevaluating) {
   OracleEvaluator eval;
   const Experiment exp(eval, latency::NnMeter::shared());
   const auto configs = sample_configs(12, 5);
-  const TempPath journal("resume.dcj");
+  const TempDir dir("resume");
 
-  SchedulerOptions opt;
-  opt.threads = 2;
-  opt.journal_path = journal.str();
-  opt.fsync_journal = false;
+  const SchedulerOptions opt = store_options(dir, 2);
   const std::string serial = csv_text(exp.run_all(configs));
   {
     TrialScheduler first(exp, opt);
@@ -109,139 +112,75 @@ TEST(SchedulerTest, ResumeAfterTornTailReevaluatesOnlyTheLostTrials) {
   OracleEvaluator eval;
   const Experiment exp(eval, latency::NnMeter::shared());
   const auto configs = sample_configs(10, 7);
-  const TempPath journal("torn.dcj");
+  const TempDir dir("torn");
 
-  SchedulerOptions opt;
-  opt.threads = 2;
-  opt.journal_path = journal.str();
-  opt.fsync_journal = false;
-  const std::string serial = csv_text(exp.run_all(configs));
+  const SchedulerOptions opt = store_options(dir, 2);
+  const std::vector<TrialConfig> committed(configs.begin(), configs.end() - 1);
+  std::uint64_t string_bytes = 0;
   {
     TrialScheduler first(exp, opt);
-    EXPECT_EQ(csv_text(first.run(configs)), serial);
+    EXPECT_EQ(csv_text(first.run(committed)),
+              csv_text(exp.run_all(committed)));
+    string_bytes = first.store()->string_bytes();
   }
-  // Crash simulation: cut the file mid-way through the final line.
-  const auto full_size = std::filesystem::file_size(journal.str());
-  std::filesystem::resize_file(journal.str(), full_size - 20);
+  // Crash simulation: the last trial's strings and half its slot reached
+  // disk, but the control block was never advanced past them.
+  JournalEntry lost;
+  lost.record = exp.run_trial(configs.back());
+  for (std::size_t f = 0; f < lost.record.fold_accuracies.size(); ++f) {
+    lost.fold_indices.push_back(static_cast<int>(f));
+  }
+  std::string pool_bytes;
+  const store::TrialSlot slot =
+      TrialStore::encode_slot(lost, string_bytes, &pool_bytes);
+  {
+    std::ofstream pool(std::filesystem::path(dir.str()) / "strings.pool",
+                       std::ios::binary | std::ios::app);
+    pool.write(pool_bytes.data(),
+               static_cast<std::streamsize>(pool_bytes.size()));
+  }
+  {
+    std::fstream chunk(std::filesystem::path(dir.str()) / "trials-00000.chunk",
+                       std::ios::binary | std::ios::in | std::ios::out);
+    chunk.seekp(static_cast<std::streamoff>(committed.size() *
+                                            sizeof(store::TrialSlot)));
+    chunk.write(reinterpret_cast<const char*>(&slot), sizeof(slot) / 2);
+  }
 
+  const std::string serial = csv_text(exp.run_all(configs));
   TrialScheduler second(exp, opt);
   EXPECT_EQ(csv_text(second.run(configs)), serial);
+  EXPECT_EQ(second.store()->recovery().torn_records, 1u);
   // Exactly one trial (the torn one) was re-evaluated.
   EXPECT_EQ(second.stats().resumed, configs.size() - 1);
   EXPECT_EQ(second.stats().scheduled, 1u);
 
-  // And the journal healed: a third run resumes everything.
+  // And the store healed: a third run resumes everything.
   TrialScheduler third(exp, opt);
   EXPECT_EQ(csv_text(third.run(configs)), serial);
   EXPECT_EQ(third.stats().resumed, configs.size());
 }
 
-TEST(SchedulerTest, JournaledRunSurvivesMidFileCorruption) {
+TEST(SchedulerTest, ResumeAcrossThreadCountsCommitsEachTrialOnce) {
   OracleEvaluator eval;
   const Experiment exp(eval, latency::NnMeter::shared());
-  const auto configs = sample_configs(6, 9);
-  const TempPath journal("corrupt.dcj");
-
-  SchedulerOptions opt;
-  opt.threads = 2;
-  opt.journal_path = journal.str();
-  opt.fsync_journal = false;
-  const std::string serial = csv_text(exp.run_all(configs));
+  const auto configs = sample_configs(14, 13);
+  const TempDir dir("threads");
+  const std::vector<TrialConfig> first_half(configs.begin(),
+                                            configs.begin() + 6);
   {
-    TrialScheduler first(exp, opt);
-    (void)first.run(configs);
+    TrialScheduler first(exp, store_options(dir, 1));
+    EXPECT_EQ(csv_text(first.run(first_half)),
+              csv_text(exp.run_all(first_half)));
   }
-  // Flip a digit inside the third line's payload: its checksum now fails,
-  // so that trial must be re-evaluated while the others resume.
-  std::ifstream in(journal.str());
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(in, line);) lines.push_back(line);
-  in.close();
-  ASSERT_GE(lines.size(), 4u);
-  std::string& target = lines[3];
-  const auto digit = target.find_first_of("0123456789", target.find(',') + 1);
-  ASSERT_NE(digit, std::string::npos);
-  target[digit] = target[digit] == '9' ? '1' : '9';
-  {
-    std::ofstream out(journal.str(), std::ios::trunc);
-    for (const auto& line : lines) out << line << "\n";
-  }
-
-  TrialScheduler second(exp, opt);
-  EXPECT_EQ(csv_text(second.run(configs)), serial);
-  EXPECT_LT(second.stats().resumed, configs.size());
-  EXPECT_GE(second.stats().resumed, 1u);
-}
-
-// ---- journal encode/decode --------------------------------------------------
-
-TEST(TrialJournalTest, EncodeDecodeRoundTripsBitExactly) {
-  JournalEntry entry;
-  entry.record.config = TrialConfig::baseline(7, 16);
-  entry.record.accuracy = 87.123456789012345;
-  entry.record.latency_ms = 415.73415977261743;
-  entry.record.lat_std = 285.0203368304029;
-  entry.record.memory_mb = 44.804802;
-  entry.record.fold_accuracies = {86.3766644856339, 85.95641759017106,
-                                  86.38652171093284, 89.46831624538649,
-                                  86.88766613705032};
-  entry.record.per_device_ms = {{"cortexA76cpu", 325.48614348128393},
-                                {"myriadvpu", 838.5355983578854}};
-  entry.fold_indices = {0, 1, 2, 3, 4};
-
-  const std::string line = TrialJournal::encode_line(entry);
-  const auto decoded = TrialJournal::decode_line(line);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->status, TrialStatus::kOk);
-  EXPECT_EQ(decoded->record.config.lattice_key(),
-            entry.record.config.lattice_key());
-  EXPECT_EQ(decoded->record.accuracy, entry.record.accuracy);
-  EXPECT_EQ(decoded->record.latency_ms, entry.record.latency_ms);
-  EXPECT_EQ(decoded->record.lat_std, entry.record.lat_std);
-  EXPECT_EQ(decoded->record.memory_mb, entry.record.memory_mb);
-  EXPECT_EQ(decoded->record.fold_accuracies, entry.record.fold_accuracies);
-  EXPECT_EQ(decoded->record.per_device_ms, entry.record.per_device_ms);
-  EXPECT_EQ(decoded->fold_indices, entry.fold_indices);
-}
-
-TEST(TrialJournalTest, PrunedEntryRoundTripsPartialFolds) {
-  JournalEntry entry;
-  entry.status = TrialStatus::kPruned;
-  entry.record.config = TrialConfig::baseline(5, 8);
-  entry.record.fold_accuracies = {81.5, 80.25};
-  entry.record.accuracy = 80.875;
-  entry.fold_indices = {0, 2};
-
-  const auto decoded = TrialJournal::decode_line(TrialJournal::encode_line(entry));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->status, TrialStatus::kPruned);
-  EXPECT_EQ(decoded->fold_indices, (std::vector<int>{0, 2}));
-  EXPECT_EQ(decoded->record.fold_accuracies, (std::vector<double>{81.5, 80.25}));
-}
-
-TEST(TrialJournalTest, DecodeRejectsCorruptedLines) {
-  JournalEntry entry;
-  entry.record.config = TrialConfig::baseline(7, 32);
-  entry.record.fold_accuracies = {85.0};
-  entry.fold_indices = {0};
-  const std::string line = TrialJournal::encode_line(entry);
-
-  EXPECT_FALSE(TrialJournal::decode_line("").has_value());
-  EXPECT_FALSE(TrialJournal::decode_line("garbage").has_value());
-  EXPECT_FALSE(TrialJournal::decode_line(line.substr(0, line.size() - 3))
-                   .has_value());
-  std::string flipped = line;
-  flipped[5] = flipped[5] == '7' ? '5' : '7';  // damage the payload
-  EXPECT_FALSE(TrialJournal::decode_line(flipped).has_value());
-}
-
-TEST(TrialJournalTest, RejectsNonJournalFile) {
-  const TempPath path("notajournal.dcj");
-  {
-    std::ofstream out(path.str());
-    out << "channels,batch,accuracy\n5,8,90.0\n";
-  }
-  EXPECT_THROW(TrialJournal journal(path.str()), InvalidArgument);
+  // A wider resume sees the same committed history: the six stored trials
+  // resume, only the rest run, and none is committed a second time.
+  TrialScheduler second(exp, store_options(dir, 4));
+  EXPECT_EQ(csv_text(second.run(configs)), csv_text(exp.run_all(configs)));
+  EXPECT_EQ(second.stats().resumed, first_half.size());
+  EXPECT_EQ(second.stats().scheduled, configs.size() - first_half.size());
+  ASSERT_NE(second.store(), nullptr);
+  EXPECT_EQ(second.store()->size(), configs.size());
 }
 
 // ---- median-stop pruning ----------------------------------------------------
@@ -323,16 +262,13 @@ TEST(SchedulerTest, PruningSkipsFoldsWithoutChangingSurvivors) {
   }
 }
 
-TEST(SchedulerTest, PrunedJournalEntriesResumeOnlyWithPrunerOn) {
+TEST(SchedulerTest, PrunedStoreEntriesResumeOnlyWithPrunerOn) {
   OracleEvaluator eval;
   const Experiment exp(eval, latency::NnMeter::shared());
   const auto configs = sample_configs(32, 17);
-  const TempPath journal("pruned.dcj");
+  const TempDir dir("pruned");
 
-  SchedulerOptions opt;
-  opt.threads = 4;
-  opt.journal_path = journal.str();
-  opt.fsync_journal = false;
+  SchedulerOptions opt = store_options(dir, 4);
   opt.pruner.enabled = true;
   opt.pruner.warmup_trials = 4;
   opt.pruner.min_folds = 2;
@@ -393,7 +329,7 @@ TEST(SchedulerTest, EvaluatorExceptionAbortsAndRethrows) {
 }
 
 /// Delegates to the oracle except for one poisoned (config, fold) pair —
-/// lets an abort happen mid-search while every other journaled value stays
+/// lets an abort happen mid-search while every other committed value stays
 /// the true oracle value.
 class FlakyOracleEvaluator : public Evaluator {
  public:
@@ -417,16 +353,13 @@ class FlakyOracleEvaluator : public Evaluator {
   int bad_fold_;
 };
 
-TEST(SchedulerTest, AbortedRunNeverJournalsIncompleteTrials) {
+TEST(SchedulerTest, AbortedRunNeverCommitsIncompleteTrials) {
   const auto configs = sample_configs(16, 31);
-  const TempPath journal("abort.dcj");
-  SchedulerOptions opt;
-  opt.threads = 4;
-  opt.journal_path = journal.str();
-  opt.fsync_journal = false;
+  const TempDir dir("abort");
+  const SchedulerOptions opt = store_options(dir, 4);
 
   // First run aborts mid-search: in-flight trials whose remaining folds
-  // were skipped by the abort must not be journaled as ok (their missing
+  // were skipped by the abort must not be committed as ok (their missing
   // folds are zero-filled in memory).
   {
     FlakyOracleEvaluator flaky(configs[8].lattice_key(), 2);
@@ -435,7 +368,7 @@ TEST(SchedulerTest, AbortedRunNeverJournalsIncompleteTrials) {
     EXPECT_THROW(scheduler.run(configs), InvalidArgument);
   }
 
-  // Resume with a healthy evaluator: every journal entry must hold fully
+  // Resume with a healthy evaluator: every store record must hold fully
   // evaluated oracle values, so the merged database is exactly the serial
   // sweep. A zero-corrupted ok entry would survive resume verbatim and
   // break this parity.

@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -13,7 +14,6 @@
 #include "dcnas/common/error.hpp"
 #include "dcnas/common/rng.hpp"
 #include "dcnas/nas/experiment.hpp"
-#include "dcnas/nas/journal.hpp"
 #include "dcnas/nas/search_space.hpp"
 #include "dcnas/nas/store/format.hpp"
 
@@ -132,6 +132,86 @@ TEST(TrialStoreTest, LastWriteWinsOnDuplicateKeys) {
   EXPECT_EQ(store.to_database().size(), 1u);
 }
 
+TEST(TrialStoreTest, EntryRoundTripsBitExactlyIncludingPrecisionAndDepth) {
+  // A wide-lattice point off the paper's axes: int8 serving, ResNet-26.
+  const SearchSpaceSpec wide = SearchSpaceSpec::wide();
+  TrialConfig config;
+  for (std::int64_t i = 0; i < wide.size(); ++i) {
+    config = wide.at(i);
+    if (config.precision == 1 && config.depth == 3 && config.geometry_ok()) {
+      break;
+    }
+  }
+  ASSERT_EQ(config.precision, 1);
+  ASSERT_EQ(config.depth, 3);
+
+  JournalEntry entry;
+  entry.record.config = config;
+  entry.record.accuracy = 87.123456789012345;
+  entry.record.latency_ms = 415.73415977261743;
+  entry.record.lat_std = 285.0203368304029;
+  entry.record.memory_mb = 44.804802;
+  entry.record.fold_accuracies = {86.3766644856339, 85.95641759017106,
+                                  86.38652171093284, 89.46831624538649,
+                                  86.88766613705032};
+  entry.record.per_device_ms = {{"cortexA76cpu", 325.48614348128393},
+                                {"myriadvpu", 838.5355983578854}};
+  entry.fold_indices = {0, 1, 2, 3, 4};
+
+  const TempDir dir("bitexact");
+  { TrialStore(dir.str(), fast_options()).append(entry); }
+  const TrialStore store(dir.str(), fast_options());
+  ASSERT_EQ(store.size(), 1u);
+  const JournalEntry got = store.read(0);
+  EXPECT_EQ(got.status, TrialStatus::kOk);
+  EXPECT_EQ(got.record.config.lattice_key(), config.lattice_key());
+  EXPECT_EQ(got.record.config.precision, 1);
+  EXPECT_EQ(got.record.config.depth, 3);
+  EXPECT_EQ(got.record.accuracy, entry.record.accuracy);
+  EXPECT_EQ(got.record.latency_ms, entry.record.latency_ms);
+  EXPECT_EQ(got.record.lat_std, entry.record.lat_std);
+  EXPECT_EQ(got.record.memory_mb, entry.record.memory_mb);
+  EXPECT_EQ(got.record.fold_accuracies, entry.record.fold_accuracies);
+  EXPECT_EQ(got.record.per_device_ms, entry.record.per_device_ms);
+  EXPECT_EQ(got.fold_indices, entry.fold_indices);
+}
+
+TEST(TrialStoreTest, PrunedEntryRoundTripsPartialFolds) {
+  JournalEntry entry;
+  entry.status = TrialStatus::kPruned;
+  entry.record.config = TrialConfig::baseline(5, 8);
+  entry.record.fold_accuracies = {81.5, 80.25};
+  entry.record.accuracy = 80.875;
+  entry.fold_indices = {0, 2};
+
+  const TempDir dir("pruned");
+  { TrialStore(dir.str(), fast_options()).append(entry); }
+  const TrialStore store(dir.str(), fast_options());
+  const JournalEntry* got = store.find(entry.record.config.lattice_key());
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->status, TrialStatus::kPruned);
+  EXPECT_EQ(got->fold_indices, (std::vector<int>{0, 2}));
+  EXPECT_EQ(got->record.fold_accuracies, (std::vector<double>{81.5, 80.25}));
+  EXPECT_EQ(got->record.accuracy, 80.875);
+}
+
+TEST(TrialStoreTest, NonStoreControlFileIsRefused) {
+  const TempDir dir("notastore");
+  fs::create_directories(dir.str());
+  {
+    std::ofstream out(fs::path(dir.str()) / "store.ctrl");
+    out << "channels,batch,accuracy\n5,8,90.0\n";
+  }
+  try {
+    TrialStore store(dir.str(), fast_options());
+    FAIL() << "a directory holding a CSV as store.ctrl opened as a store";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("not a v1 trial store"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(TrialStoreTest, LatticeFingerprintMismatchThrows) {
   const TempDir dir("fingerprint");
   TrialStoreOptions create = fast_options();
@@ -230,6 +310,134 @@ TEST(TrialStoreTest, CorruptControlWithNoChunksThrows) {
   EXPECT_THROW(TrialStore(dir.str(), fast_options()), InvalidArgument);
 }
 
+TEST(TrialStoreTest, CorruptCommittedRecordRefusesToOpenNamingIt) {
+  OracleEvaluator eval;
+  const Experiment exp(eval, latency::NnMeter::shared());
+  const auto configs = sample_configs(5, 23);
+  const TempDir dir("badrecord");
+  {
+    TrialStore store(dir.str(), fast_options());
+    for (const auto& c : configs) store.append(make_entry(exp, c));
+  }
+  // Flip one byte inside committed record 2. Unlike a torn tail, this is
+  // not crash damage recovery may discard: the control block vouches for
+  // the record, so the store must refuse to open and say where it broke.
+  {
+    std::fstream chunk(fs::path(dir.str()) / "trials-00000.chunk",
+                       std::ios::binary | std::ios::in | std::ios::out);
+    const auto off = static_cast<std::streamoff>(
+        2 * sizeof(store::TrialSlot) + offsetof(store::TrialSlot, folds));
+    chunk.seekg(off);
+    char byte = 0;
+    chunk.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x40);
+    chunk.seekp(off);
+    chunk.write(&byte, 1);
+  }
+  try {
+    TrialStore store(dir.str(), fast_options());
+    FAIL() << "a store with a corrupt committed record opened";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("committed store record 2 "), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(dir.str()), std::string::npos) << what;
+  }
+}
+
+TEST(TrialStoreTest, TornSlotOfEveryLengthIsDiscarded) {
+  OracleEvaluator eval;
+  const Experiment exp(eval, latency::NnMeter::shared());
+  const auto configs = sample_configs(3, 29);
+  const TempDir dir("tearsweep");
+  TrialStoreOptions opt = fast_options();
+  opt.chunk_capacity = 8;  // keeps each reopen's tail scan short
+  std::string expected_csv;
+  std::uint64_t string_bytes = 0;
+  {
+    TrialStore store(dir.str(), opt);
+    for (const auto& c : configs) store.append(make_entry(exp, c));
+    expected_csv = csv_text(store.assemble(configs));
+    string_bytes = store.string_bytes();
+  }
+  const JournalEntry torn = make_entry(exp, TrialConfig::baseline(7, 16));
+  std::string pool_bytes;
+  const store::TrialSlot slot =
+      TrialStore::encode_slot(torn, string_bytes, &pool_bytes);
+  const char* slot_bytes = reinterpret_cast<const char*>(&slot);
+
+  // A crash can stop the slot pwrite after any byte. Tear it at every
+  // length short of a whole slot; each reopen must discard exactly what
+  // lies past the commit point and leave the committed records intact.
+  for (std::size_t len = 1; len < sizeof(slot); ++len) {
+    {
+      std::ofstream pool(fs::path(dir.str()) / "strings.pool",
+                         std::ios::binary | std::ios::app);
+      pool.write(pool_bytes.data(),
+                 static_cast<std::streamsize>(pool_bytes.size()));
+    }
+    {
+      std::fstream chunk(fs::path(dir.str()) / "trials-00000.chunk",
+                         std::ios::binary | std::ios::in | std::ios::out);
+      chunk.seekp(static_cast<std::streamoff>(configs.size() *
+                                              sizeof(store::TrialSlot)));
+      chunk.write(slot_bytes, static_cast<std::streamsize>(len));
+    }
+    // An all-zero prefix is indistinguishable from a never-written slot.
+    const bool visible = std::any_of(slot_bytes, slot_bytes + len,
+                                     [](char b) { return b != 0; });
+    const TrialStore store(dir.str(), opt);
+    ASSERT_EQ(store.size(), configs.size()) << "tear at byte " << len;
+    ASSERT_EQ(store.recovery().torn_records, visible ? 1u : 0u)
+        << "tear at byte " << len;
+    ASSERT_EQ(store.recovery().torn_string_bytes, pool_bytes.size())
+        << "tear at byte " << len;
+    ASSERT_EQ(store.find(torn.record.config.lattice_key()), nullptr)
+        << "tear at byte " << len;
+  }
+  TrialStore store(dir.str(), opt);
+  EXPECT_EQ(store.recovery().torn_records, 0u);
+  EXPECT_EQ(csv_text(store.assemble(configs)), expected_csv);
+  store.append(torn);
+  EXPECT_EQ(store.size(), configs.size() + 1);
+}
+
+TEST(TrialStoreTest, CorruptRecordInLaterChunkIsNamedByItsGlobalIndex) {
+  OracleEvaluator eval;
+  const Experiment exp(eval, latency::NnMeter::shared());
+  const auto configs = sample_configs(7, 31);
+  const TempDir dir("badchunk");
+  TrialStoreOptions opt = fast_options();
+  opt.chunk_capacity = 4;  // records 4..6 live in the second chunk file
+  {
+    TrialStore store(dir.str(), opt);
+    for (const auto& c : configs) store.append(make_entry(exp, c));
+  }
+  // Record 5 is slot 1 of trials-00001.chunk; the error must give the
+  // store-wide index, not the slot within its chunk.
+  {
+    std::fstream chunk(fs::path(dir.str()) / "trials-00001.chunk",
+                       std::ios::binary | std::ios::in | std::ios::out);
+    const auto off = static_cast<std::streamoff>(
+        sizeof(store::TrialSlot) + offsetof(store::TrialSlot, accuracy_bits));
+    chunk.seekg(off);
+    char byte = 0;
+    chunk.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x01);
+    chunk.seekp(off);
+    chunk.write(&byte, 1);
+  }
+  try {
+    TrialStore store(dir.str(), opt);
+    FAIL() << "a store with a corrupt committed record opened";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("committed store record 5 "), std::string::npos)
+        << what;
+    EXPECT_NE(what.find(dir.str()), std::string::npos) << what;
+  }
+}
+
 // ---- multi-process ----------------------------------------------------------
 
 TEST(TrialStoreTest, TwoProcessWritersProduceOneConsistentStore) {
@@ -303,25 +511,6 @@ TEST(TrialStoreTest, CsvStoreCsvRoundTripOnFullPaperDatabase) {
   EXPECT_EQ(csv_text(store.assemble(SearchSpace::enumerate_all())),
             csv_text(db));
   EXPECT_EQ(csv_text(store.to_database()), csv_text(db));
-}
-
-TEST(TrialStoreTest, JournalImportMigratesEveryEntry) {
-  OracleEvaluator eval;
-  const Experiment exp(eval, latency::NnMeter::shared());
-  const auto configs = sample_configs(8, 29);
-  const TempDir dir("journal");
-  const std::string journal_path =
-      (fs::path(dir.str()) / "legacy.dcj").string();
-  fs::create_directories(dir.str());
-  {
-    TrialJournal journal(journal_path, /*fsync_each=*/false);
-    for (const auto& c : configs) journal.append(make_entry(exp, c));
-  }
-  const std::string store_dir = (fs::path(dir.str()) / "store").string();
-  TrialStore store(store_dir, fast_options());
-  store.import_journal(journal_path);
-  EXPECT_EQ(store.size(), configs.size());
-  EXPECT_EQ(csv_text(store.assemble(configs)), csv_text(exp.run_all(configs)));
 }
 
 }  // namespace

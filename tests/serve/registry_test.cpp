@@ -118,13 +118,28 @@ TEST(ModelRegistryTest, SnapshotCarriesPlanMatchingExecutor) {
   }
 }
 
-TEST(ModelRegistryTest, PlanCompilationCanBeDisabled) {
-  ModelRegistry registry(0, /*compile_plans=*/false);
-  EXPECT_FALSE(registry.compiles_plans());
-  registry.register_model("m", testing::make_executor());
-  const ModelSnapshot snap = registry.snapshot("m");
+TEST(ModelRegistryTest, LoadedModelFileServesFromAVerifiedPlan) {
+  graph::GraphExecutor exec = testing::make_executor(7);
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "dcnas_registry_plan_test.dcnx")
+          .string();
+  graph::save_model(exec, path);
+
+  // Every registration compiles a plan, whichever way the model arrived.
+  ModelRegistry registry;
+  registry.load("disk", path);
+  std::remove(path.c_str());
+  const ModelSnapshot snap = registry.snapshot("disk");
   ASSERT_NE(snap.exec, nullptr);
-  EXPECT_EQ(snap.plan, nullptr);
+  ASSERT_NE(snap.plan, nullptr);
+  Rng rng(17);
+  const Tensor x = testing::make_image(rng);
+  const Tensor want = exec.run(x);
+  const Tensor got = snap.plan->run(x);
+  ASSERT_TRUE(want.same_shape(got));
+  for (std::int64_t i = 0; i < want.numel(); ++i) {
+    ASSERT_NEAR(want[i], got[i], 1e-5);
+  }
 }
 
 TEST(ModelRegistryTest, HotSwapReplacesPlanAtomically) {
