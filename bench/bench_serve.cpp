@@ -100,7 +100,10 @@ ServeBenchContext& ctx() {
 struct PolicyResult {
   std::int64_t max_batch = 0;
   double throughput = 0.0;
-  serve::LatencySummary latency;
+  double p50_ms = 0.0;
+  double p95_ms = 0.0;
+  double p99_ms = 0.0;
+  double mean_ms = 0.0;
   std::int64_t errors = 0;
 };
 
@@ -126,8 +129,19 @@ PolicyResult run_policy(std::int64_t max_batch) {
   PolicyResult r;
   r.max_batch = max_batch;
   r.throughput = static_cast<double>(c.inputs.size()) / seconds;
-  r.latency = server.metrics().latency_summary("drainage");
-  r.errors = server.metrics().error_count("drainage");
+  const obs::MetricsRegistry& metrics = server.metrics();
+  if (const obs::Summary* latency = metrics.find_summary(
+          serve::model_metric("serve.request.latency_ms", "drainage"));
+      latency != nullptr && latency->count() > 0) {
+    r.p50_ms = latency->quantile(0.50);
+    r.p95_ms = latency->quantile(0.95);
+    r.p99_ms = latency->quantile(0.99);
+    r.mean_ms = latency->sum() / static_cast<double>(latency->count());
+  }
+  if (const obs::Counter* errors = metrics.find_counter(
+          serve::model_metric("serve.error.count", "drainage"))) {
+    r.errors = errors->value();
+  }
   server.shutdown();
   return r;
 }
@@ -252,8 +266,8 @@ void write_json(const std::vector<PolicyResult>& results,
                  "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f, "
                  "\"mean_ms\": %.3f, \"errors\": %lld}%s\n",
                  static_cast<long long>(r.max_batch), r.throughput,
-                 r.latency.p50_ms, r.latency.p95_ms, r.latency.p99_ms,
-                 r.latency.mean_ms, static_cast<long long>(r.errors),
+                 r.p50_ms, r.p95_ms, r.p99_ms,
+                 r.mean_ms, static_cast<long long>(r.errors),
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
@@ -289,7 +303,7 @@ void print_report() {
     const PolicyResult r = run_policy(max_batch);
     std::printf("%9lld %18.1f %7.2f %7.2f %7.2f %7lld\n",
                 static_cast<long long>(r.max_batch), r.throughput,
-                r.latency.p50_ms, r.latency.p95_ms, r.latency.p99_ms,
+                r.p50_ms, r.p95_ms, r.p99_ms,
                 static_cast<long long>(r.errors));
     results.push_back(r);
   }

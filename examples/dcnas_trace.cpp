@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
   for (auto& f : futures) f.get();
   server.shutdown();
   std::printf("serve: %d requests answered\n%s", requests,
-              server.stats_report().c_str());
+              server.metrics().to_text().c_str());
 
   // 4. Export: Chrome-trace timeline + both metrics registries.
   obs::TraceRecorder::global().disable();
@@ -129,7 +129,7 @@ int main(int argc, char** argv) {
   const std::string json = "{\"process\": " +
                            obs::MetricsRegistry::global().to_json() +
                            ", \"serving\": " +
-                           server.metrics().registry().to_json() + "}\n";
+                           server.metrics().to_json() + "}\n";
   std::FILE* f = std::fopen(metrics_out.c_str(), "w");
   DCNAS_CHECK(f != nullptr, "cannot open " + metrics_out);
   std::fwrite(json.data(), 1, json.size(), f);

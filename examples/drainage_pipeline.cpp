@@ -33,9 +33,9 @@
 #include <string>
 
 #include "dcnas/common/cli.hpp"
-#include "dcnas/common/profiler.hpp"
 #include "dcnas/common/rng.hpp"
 #include "dcnas/core/report.hpp"
+#include "dcnas/obs/metrics.hpp"
 
 using namespace dcnas;
 
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
   std::printf("artifacts written: %s/trials.csv, fig3_scatter.csv, "
               "fig4_radar.csv\n",
               out_dir.c_str());
-  std::printf("\nphase profile (the Nsight-style accounting §5 suggests):\n%s",
-              Profiler::global().report().c_str());
+  std::printf("\nprocess metrics (the resource accounting §5 suggests):\n%s",
+              obs::MetricsRegistry::global().to_text().c_str());
   return 0;
 }

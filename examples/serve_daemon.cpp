@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
                 "mismatches vs direct execution %s\n",
                 self_test, rejected, mismatches,
                 mismatches == 0 ? "(bit-exact)" : "(BUG!)");
-    std::printf("\n%s\n", server.stats_report().c_str());
+    std::printf("\n%s\n", server.metrics().to_text().c_str());
     wire.stop();
     server.shutdown();
     return mismatches == 0 ? 0 : 1;
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
   }
   std::printf("\nserve_daemon: draining...\n%s\n",
-              server.stats_report().c_str());
+              server.metrics().to_text().c_str());
   wire.stop();
   server.shutdown();
   return 0;

@@ -14,12 +14,12 @@
 #include <vector>
 
 #include "dcnas/common/cli.hpp"
-#include "dcnas/common/profiler.hpp"
 #include "dcnas/geodata/dataset.hpp"
 #include "dcnas/graph/builder.hpp"
 #include "dcnas/graph/model_file.hpp"
 #include "dcnas/nas/search_space.hpp"
 #include "dcnas/nn/trainer.hpp"
+#include "dcnas/obs/metrics.hpp"
 #include "dcnas/serve/server.hpp"
 
 using namespace dcnas;
@@ -120,9 +120,9 @@ int main(int argc, char** argv) {
   // 5. Drain and report.
   server.shutdown();
   std::printf("\nserving metrics after graceful drain:\n%s\n",
-              server.stats_report().c_str());
-  std::printf("profiler phases:\n%s\n",
-              Profiler::global().report().c_str());
+              server.metrics().to_text().c_str());
+  std::printf("process metrics:\n%s\n",
+              obs::MetricsRegistry::global().to_text().c_str());
   std::filesystem::remove(path);
   return 0;
 }

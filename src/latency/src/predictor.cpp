@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "dcnas/common/logging.hpp"
-#include "dcnas/common/profiler.hpp"
 #include "dcnas/common/stats.hpp"
 #include "dcnas/latency/features.hpp"
 #include "dcnas/latency/simulator.hpp"
@@ -58,7 +57,6 @@ double LatencyPredictor::prior_ms(const FusedKernel& k) const {
 void LatencyPredictor::train(const PredictorTrainOptions& options) {
   obs::Span span("latency", "latency.predictor.train");
   if (span.armed()) span.arg("device", device_.name);
-  const ScopedTimer timer("latency.train_predictor");
   DCNAS_CHECK(options.samples_per_kind >= 20,
               "predictor training needs >= 20 samples per kernel kind");
   forests_.clear();

@@ -1,7 +1,6 @@
 #include "dcnas/nas/experiment.hpp"
 
 #include "dcnas/common/logging.hpp"
-#include "dcnas/common/profiler.hpp"
 #include "dcnas/common/strings.hpp"
 #include "dcnas/graph/fusion.hpp"
 #include "dcnas/graph/serialize.hpp"
@@ -131,15 +130,10 @@ Experiment::Experiment(Evaluator& evaluator, const latency::NnMeter& meter,
 TrialRecord Experiment::run_trial(const TrialConfig& config) const {
   obs::Span span("nas", "nas.trial.run");
   if (span.armed()) span.arg("config", config.lattice_key());
-  const ScopedTimer trial_timer("experiment.trial");
   config.validate_universe();
   TrialRecord r;
   r.config = config;
-  EvalResult eval;
-  {
-    const ScopedTimer timer("experiment.accuracy_eval");
-    eval = evaluator_.evaluate(config);
-  }
+  const EvalResult eval = evaluator_.evaluate(config);
   r.fold_accuracies = eval.fold_accuracies;
   r.accuracy = eval.mean_accuracy;
   fill_hardware_objectives(r);
@@ -148,7 +142,6 @@ TrialRecord Experiment::run_trial(const TrialConfig& config) const {
 
 void Experiment::fill_hardware_objectives(TrialRecord& r) const {
   DCNAS_TRACE_SPAN("nas", "nas.trial.hardware");
-  const ScopedTimer hw_timer("experiment.hardware_objectives");
   // The hardware objectives depend only on (architecture, precision) —
   // never batch — so trials sharing an architecture reuse one prediction.
   // Memoized values are bit-identical to a fresh computation (same graph,

@@ -16,8 +16,7 @@
 /// returned reference, which stays valid for the registry's lifetime:
 /// reset() zeroes metrics in place, it never deletes them.
 ///
-/// `common/profiler.hpp` (phase accounting) and `serve/metrics.hpp`
-/// (per-model serving stats) are thin facades over this registry.
+/// Every subsystem records here directly.
 
 #include <atomic>
 #include <cstdint>
@@ -92,8 +91,9 @@ class Histogram {
 
 /// Raw-sample accumulator with exact quantiles — the serving-latency
 /// percentile metric (a fixed-boundary histogram would interpolate).
-/// Retains up to \c kMaxSamples samples; beyond that new samples still
-/// update count/sum but are not retained for quantiles.
+/// Retains the latest \c kMaxSamples samples in a ring that overwrites the
+/// oldest, so quantiles track recent traffic; count/sum stay exact over
+/// every observation.
 class Summary {
  public:
   static constexpr std::size_t kMaxSamples = 1 << 20;
@@ -105,7 +105,7 @@ class Summary {
   /// Linear-interpolated exact quantile over retained samples, the same
   /// estimator as dcnas::quantile (common/stats.hpp). Returns 0 when empty.
   double quantile(double q) const;
-  /// Copy of the retained samples, in observation order.
+  /// Copy of the retained samples, oldest first.
   std::vector<double> samples() const;
 
   void reset();
@@ -113,6 +113,7 @@ class Summary {
  private:
   mutable std::mutex mu_;
   std::vector<double> samples_;
+  std::size_t oldest_ = 0;  ///< ring slot of the oldest sample once full
   std::int64_t count_ = 0;
   double sum_ = 0.0;
 };
@@ -147,7 +148,7 @@ struct MetricsSnapshot {
 
 /// Thread-safe name -> metric registry. `global()` is the process-wide
 /// instance the pipeline instrumentation records into; subsystems that need
-/// isolated scopes (e.g. one Server's ServingMetrics) own private
+/// isolated scopes (e.g. one Server's per-model metrics) own private
 /// instances.
 class MetricsRegistry {
  public:

@@ -6,9 +6,8 @@
 /// The paper's §5 outlook asks for profiling NAS resource usage on real
 /// hardware; HW-NAS-Bench argues hardware-aware NAS needs *measured*,
 /// inspectable cost data. This layer answers "where did the search / the
-/// serving stack actually spend its time" with a timeline instead of only
-/// aggregate phase totals (see common/profiler.hpp, now a facade over the
-/// sibling metrics registry).
+/// serving stack actually spend its time" with a timeline; the sibling
+/// metrics registry (metrics.hpp) holds the aggregate totals.
 ///
 /// Design constraints, in priority order:
 ///  1. **Zero overhead when disabled.** `Span` construction while tracing is

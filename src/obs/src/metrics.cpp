@@ -112,7 +112,14 @@ void Summary::observe(double value) {
   std::lock_guard<std::mutex> lock(mu_);
   ++count_;
   sum_ += value;
-  if (samples_.size() < kMaxSamples) samples_.push_back(value);
+  if (samples_.size() < kMaxSamples) {
+    samples_.push_back(value);
+    return;
+  }
+  // Full: overwrite the oldest retained sample, so quantiles keep tracking
+  // the most recent kMaxSamples observations.
+  samples_[oldest_] = value;
+  oldest_ = (oldest_ + 1) % kMaxSamples;
 }
 
 std::int64_t Summary::count() const {
@@ -144,12 +151,16 @@ double Summary::quantile(double q) const {
 
 std::vector<double> Summary::samples() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return samples_;
+  const auto split = samples_.begin() + static_cast<std::ptrdiff_t>(oldest_);
+  std::vector<double> out(split, samples_.end());
+  out.insert(out.end(), samples_.begin(), split);
+  return out;
 }
 
 void Summary::reset() {
   std::lock_guard<std::mutex> lock(mu_);
   samples_.clear();
+  oldest_ = 0;
   count_ = 0;
   sum_ = 0.0;
 }

@@ -27,23 +27,31 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dcnas/common/thread_pool.hpp"
+#include "dcnas/obs/metrics.hpp"
 #include "dcnas/serve/batcher.hpp"
-#include "dcnas/serve/metrics.hpp"
 #include "dcnas/serve/registry.hpp"
 
 namespace dcnas::serve {
+
+/// Name of one per-model serving metric: `<family>{model=<model>}`, e.g.
+/// `serve.request.count{model=drainage}`. Replicas record the families
+/// `serve.request.count`, `serve.error.count` (counters),
+/// `serve.request.latency_ms` and `serve.batch.size` (summaries).
+std::string model_metric(std::string_view family, std::string_view model);
 
 /// One {batcher, pool} serving unit. Construction starts the workers;
 /// destruction closes intake, drains accepted requests, and joins.
 class Replica {
  public:
-  /// \p metrics is shared across the owning group's replicas (ServingMetrics
-  /// is thread-safe) and must outlive the replica.
+  /// \p metrics receives the per-model families (see model_metric()). It
+  /// is shared across the owning group's replicas (the registry is
+  /// thread-safe) and must outlive the replica.
   Replica(std::shared_ptr<ModelRegistry> registry, const BatchPolicy& policy,
-          std::size_t num_workers, ServingMetrics* metrics);
+          std::size_t num_workers, obs::MetricsRegistry* metrics);
   ~Replica();
 
   Replica(const Replica&) = delete;
@@ -74,7 +82,7 @@ class Replica {
   void handle_batch(Batch&& batch) noexcept;
 
   std::shared_ptr<ModelRegistry> registry_;
-  ServingMetrics* metrics_;
+  obs::MetricsRegistry* metrics_;
   DynamicBatcher batcher_;
   ThreadPool pool_;  ///< last member: destroyed (joined) first
 };
@@ -91,7 +99,8 @@ struct ReplicaGroupOptions {
 class ReplicaGroup {
  public:
   ReplicaGroup(std::shared_ptr<ModelRegistry> registry,
-               const ReplicaGroupOptions& options, ServingMetrics* metrics);
+               const ReplicaGroupOptions& options,
+               obs::MetricsRegistry* metrics);
 
   ReplicaGroup(const ReplicaGroup&) = delete;
   ReplicaGroup& operator=(const ReplicaGroup&) = delete;

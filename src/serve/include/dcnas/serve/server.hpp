@@ -1,7 +1,8 @@
 #pragma once
 /// \file server.hpp
 /// \brief Concurrent inference server: registry -> replica group (dynamic
-/// batchers + worker pools) -> per-model metrics.
+/// batchers + worker pools) -> per-model metrics in a private
+/// obs::MetricsRegistry.
 ///
 /// submit() admits one image and returns a future; the ReplicaGroup routes
 /// it to one of num_replicas independent {batcher, pool} units
@@ -21,8 +22,8 @@
 #include <memory>
 #include <string>
 
+#include "dcnas/obs/metrics.hpp"
 #include "dcnas/serve/batcher.hpp"
-#include "dcnas/serve/metrics.hpp"
 #include "dcnas/serve/registry.hpp"
 #include "dcnas/serve/replica.hpp"
 
@@ -63,7 +64,10 @@ class Server {
   /// workers. Idempotent.
   void shutdown();
 
-  const ServingMetrics& metrics() const { return metrics_; }
+  /// This server's per-model metrics (see model_metric()), private to the
+  /// instance so two servers never mix their counts. Process-wide serving
+  /// counters live in obs::MetricsRegistry::global().
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
   ModelRegistry& registry() { return *registry_; }
   std::size_t pending() const { return group_.pending(); }
 
@@ -71,14 +75,11 @@ class Server {
   ReplicaGroup& replicas() { return group_; }
   const ReplicaGroup& replicas() const { return group_; }
 
-  /// metrics().stats_report() convenience.
-  std::string stats_report() const { return metrics_.stats_report(); }
-
  private:
   static ReplicaGroupOptions group_options(const ServerOptions& options);
 
   std::shared_ptr<ModelRegistry> registry_;
-  ServingMetrics metrics_;
+  obs::MetricsRegistry metrics_;
   ReplicaGroup group_;  ///< last member: shut down (joined) first
 };
 

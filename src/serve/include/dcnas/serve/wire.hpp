@@ -131,10 +131,15 @@ class WireServer {
   std::uint16_t port() const { return port_; }
   const std::string& unix_path() const { return options_.unix_path; }
 
+  /// Connection handler threads currently held: every live connection,
+  /// plus closed ones not yet joined (the acceptor joins those before it
+  /// starts the next handler).
+  std::size_t connection_threads() const;
+
  private:
   struct Impl;
   void accept_loop();
-  void handle_connection(int fd);
+  void handle_connection(int fd, std::uint64_t id);
 
   Server& server_;
   WireServerOptions options_;

@@ -11,9 +11,9 @@ namespace dcnas::serve {
 
 namespace {
 
-/// Process-wide admission/flush counters. These complement the per-Server
-/// ServingMetrics registry: they aggregate across every batcher instance, so
-/// a single metrics export shows total serving pressure.
+/// Process-wide admission/flush counters. These complement each Server's
+/// private per-model registry: they aggregate across every batcher
+/// instance, so a single metrics export shows total serving pressure.
 obs::Counter& admitted_counter() {
   static obs::Counter& c =
       obs::MetricsRegistry::global().counter("serve.request.admitted.count");

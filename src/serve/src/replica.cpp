@@ -5,7 +5,6 @@
 #include <functional>
 #include <thread>
 
-#include "dcnas/common/profiler.hpp"
 #include "dcnas/obs/metrics.hpp"
 #include "dcnas/obs/trace.hpp"
 
@@ -41,15 +40,23 @@ std::uint64_t route_draw() {
 
 }  // namespace
 
+std::string model_metric(std::string_view family, std::string_view model) {
+  std::string name(family);
+  name += "{model=";
+  name += model;
+  name += '}';
+  return name;
+}
+
 Replica::Replica(std::shared_ptr<ModelRegistry> registry,
                  const BatchPolicy& policy, std::size_t num_workers,
-                 ServingMetrics* metrics)
+                 obs::MetricsRegistry* metrics)
     : registry_(std::move(registry)),
       metrics_(metrics),
       batcher_(policy),
       pool_(num_workers == 0 ? 1 : num_workers) {
   DCNAS_CHECK(registry_ != nullptr, "Replica requires a ModelRegistry");
-  DCNAS_CHECK(metrics_ != nullptr, "Replica requires ServingMetrics");
+  DCNAS_CHECK(metrics_ != nullptr, "Replica requires a MetricsRegistry");
   for (std::size_t i = 0; i < pool_.size(); ++i) {
     pool_.submit(std::function<void()>([this] { worker_loop(); }));
   }
@@ -90,17 +97,23 @@ void Replica::handle_batch(Batch&& batch) noexcept {
     span.arg("model", batch.model);
     span.arg("rows", n);
   }
+  // The model's whole family registers together, once per batch, so every
+  // model that reached a replica exports the same four names.
+  obs::Counter& requests =
+      metrics_->counter(model_metric("serve.request.count", batch.model));
+  obs::Counter& errors =
+      metrics_->counter(model_metric("serve.error.count", batch.model));
+  obs::Summary& latency_ms =
+      metrics_->summary(model_metric("serve.request.latency_ms", batch.model));
+  obs::Summary& batch_size =
+      metrics_->summary(model_metric("serve.batch.size", batch.model));
   std::vector<Tensor> rows;
   try {
     // One locked read hands back a coherent {executor, plan, version}
     // triple, so a concurrent hot-swap can never pair this batch with a
     // stale plan.
     const ModelSnapshot snap = registry_->snapshot(batch.model);
-    Tensor out;
-    {
-      ScopedTimer timer("serve/run_batch");
-      out = snap.plan->run(batch.input);
-    }
+    const Tensor out = snap.plan->run(batch.input);
     DCNAS_ASSERT(out.ndim() >= 1 && out.dim(0) == n,
                  "batched output row count mismatch");
     const std::int64_t per = out.numel() / n;
@@ -115,26 +128,24 @@ void Replica::handle_batch(Batch&& batch) noexcept {
     }
   } catch (...) {
     const std::exception_ptr error = std::current_exception();
-    for (PendingRequest& req : batch.requests) {
-      metrics_->record_error(batch.model);
-      req.promise.set_exception(error);
-    }
+    errors.add(static_cast<std::int64_t>(batch.requests.size()));
+    for (PendingRequest& req : batch.requests) req.promise.set_exception(error);
     return;
   }
-  metrics_->record_batch(batch.model, n);
+  batch_size.observe(static_cast<double>(n));
+  requests.add(n);
   const auto done = std::chrono::steady_clock::now();
   for (std::int64_t i = 0; i < n; ++i) {
     PendingRequest& req = batch.requests[static_cast<std::size_t>(i)];
-    const double latency_ms =
-        std::chrono::duration<double, std::milli>(done - req.admitted).count();
-    metrics_->record_request(batch.model, latency_ms);
+    latency_ms.observe(
+        std::chrono::duration<double, std::milli>(done - req.admitted).count());
     req.promise.set_value(std::move(rows[static_cast<std::size_t>(i)]));
   }
 }
 
 ReplicaGroup::ReplicaGroup(std::shared_ptr<ModelRegistry> registry,
                            const ReplicaGroupOptions& options,
-                           ServingMetrics* metrics) {
+                           obs::MetricsRegistry* metrics) {
   DCNAS_CHECK(options.num_replicas >= 1,
               "ReplicaGroup needs at least one replica");
   replicas_.reserve(options.num_replicas);

@@ -29,7 +29,7 @@ std::future<Tensor> Server::submit(const std::string& model,
   try {
     return group_.submit(model, input, deadline);
   } catch (const RejectedError&) {
-    metrics_.record_error(model);
+    metrics_.counter(model_metric("serve.error.count", model)).add(1);
     throw;
   }
 }

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -283,8 +284,10 @@ struct WireServer::Impl {
   int listen_fd = -1;
   std::atomic<bool> stopping{false};
   std::thread acceptor;
-  std::mutex mu;                       ///< guards conns + live_fds
-  std::vector<std::thread> conns;
+  std::mutex mu;  ///< guards conns, finished, next_conn and live_fds
+  std::map<std::uint64_t, std::thread> conns;  ///< handler threads by id
+  std::vector<std::uint64_t> finished;  ///< handlers that have returned
+  std::uint64_t next_conn = 0;
   std::vector<int> live_fds;
   bool unlink_on_stop = false;
 };
@@ -351,15 +354,21 @@ void WireServer::stop() {
     for (const int fd : impl_->live_fds) ::shutdown(fd, SHUT_RDWR);
   }
   if (impl_->acceptor.joinable()) impl_->acceptor.join();
-  std::vector<std::thread> conns;
+  std::map<std::uint64_t, std::thread> conns;
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
     conns.swap(impl_->conns);
+    impl_->finished.clear();
   }
-  for (std::thread& t : conns) {
+  for (auto& [id, t] : conns) {
     if (t.joinable()) t.join();
   }
   if (impl_->unlink_on_stop) ::unlink(options_.unix_path.c_str());
+}
+
+std::size_t WireServer::connection_threads() const {
+  std::lock_guard<std::mutex> lock(impl_->mu);
+  return impl_->conns.size();
 }
 
 void WireServer::accept_loop() {
@@ -369,6 +378,21 @@ void WireServer::accept_loop() {
       if (errno == EINTR) continue;
       return;  // listener closed by stop()
     }
+    // Join the handlers that have returned since the last accept, so a
+    // long-lived daemon holds threads (and their stacks) only for live
+    // connections. The joins run outside mu: a finished handler has
+    // already released it, but a live one may still need it.
+    std::vector<std::thread> done;
+    {
+      std::lock_guard<std::mutex> lock(impl_->mu);
+      for (const std::uint64_t id : impl_->finished) {
+        const auto it = impl_->conns.find(id);
+        done.push_back(std::move(it->second));
+        impl_->conns.erase(it);
+      }
+      impl_->finished.clear();
+    }
+    for (std::thread& t : done) t.join();
     // Register under the same lock stop() uses to shut live fds down, so a
     // connection accepted while stop() runs is either closed here or
     // visible to stop()'s shutdown sweep — never a stranded blocking read.
@@ -379,11 +403,13 @@ void WireServer::accept_loop() {
     }
     wire_connection_counter().add(1);
     impl_->live_fds.push_back(fd);
-    impl_->conns.emplace_back([this, fd] { handle_connection(fd); });
+    const std::uint64_t id = impl_->next_conn++;
+    impl_->conns.emplace(
+        id, std::thread([this, fd, id] { handle_connection(fd, id); }));
   }
 }
 
-void WireServer::handle_connection(int fd) {
+void WireServer::handle_connection(int fd, std::uint64_t id) {
   for (;;) {
     WireRequest request;
     try {
@@ -422,7 +448,8 @@ void WireServer::handle_connection(int fd) {
   }
   // Deregister before closing: once closed, the fd number can be reused by
   // a concurrent accept, and erasing by value afterwards could remove the
-  // new connection's entry instead.
+  // new connection's entry instead. Marking the handler finished in the
+  // same critical section lets the next accept join this thread.
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
     for (auto it = impl_->live_fds.begin(); it != impl_->live_fds.end();
@@ -432,6 +459,7 @@ void WireServer::handle_connection(int fd) {
         break;
       }
     }
+    impl_->finished.push_back(id);
   }
   ::close(fd);
 }

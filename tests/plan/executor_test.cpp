@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include "dcnas/graph/builder.hpp"
+#include "dcnas/nas/search_space.hpp"
 #include "dcnas/obs/metrics.hpp"
 #include "dcnas/plan/compiler.hpp"
 
@@ -141,6 +143,58 @@ TEST(PlanExecutorTest, MatchesAcrossBatchSizesWithOnePlan) {
         {batch, cfg.in_channels, 24, 24}, rng, -1.0f, 1.0f);
     EXPECT_LT(max_abs_diff(b.exec->run(x), plan_exec.run(x)), 1e-5)
         << "batch=" << batch;
+  }
+}
+
+/// Rows [first, first + count) of an (N, C, H, W) tensor.
+Tensor rows_of(const Tensor& x, std::int64_t first, std::int64_t count) {
+  Shape shape = x.shape();
+  shape[0] = count;
+  Tensor out(shape);
+  const std::int64_t per = x.numel() / x.dim(0);
+  std::memcpy(out.data(), x.data() + first * per,
+              static_cast<std::size_t>(count * per) * sizeof(float));
+  return out;
+}
+
+// Serving merges requests into batches of any size, so row r of a batch-B
+// run must equal the batch-1 run of that row bit for bit. Checked on the
+// 24 px model the repository benchmark serves, for the fp32 plan and for
+// the int8 plan calibrated on 64 random chips.
+TEST(PlanExecutorTest, BatchedRowsMatchSingleRunsBitwiseFp32AndInt8) {
+  nas::TrialConfig tc = nas::TrialConfig::baseline(5, 8);
+  tc.initial_output_feature = 32;
+  tc.kernel_size = 3;
+  tc.padding = 1;
+  Bundle b = make_bundle(tc.to_resnet_config(), 24, 53);
+  Rng rng(59);
+  const Tensor calibration =
+      Tensor::rand_uniform({64, 5, 24, 24}, rng, -1.0f, 1.0f);
+  const Tensor chips = Tensor::rand_uniform({32, 5, 24, 24}, rng, -1.0f, 1.0f);
+  CompileOptions int8;
+  int8.precision = graph::Precision::kInt8;
+  int8.calibration = &calibration;
+
+  for (const bool quantized : {false, true}) {
+    const PlanExecutor exec(quantized ? compile_plan(*b.exec, int8)
+                                      : compile_plan(*b.exec));
+    std::vector<Tensor> singles;
+    for (std::int64_t r = 0; r < chips.dim(0); ++r) {
+      singles.push_back(exec.run(rows_of(chips, r, 1)));
+    }
+    for (const std::int64_t batch : {1, 2, 7, 32}) {
+      const Tensor out = exec.run(rows_of(chips, 0, batch));
+      ASSERT_EQ(out.dim(0), batch);
+      for (std::int64_t r = 0; r < batch; ++r) {
+        const Tensor& want = singles[static_cast<std::size_t>(r)];
+        EXPECT_EQ(std::memcmp(out.data() + r * want.numel(), want.data(),
+                              static_cast<std::size_t>(want.numel()) *
+                                  sizeof(float)),
+                  0)
+            << (quantized ? "int8" : "fp32") << " batch=" << batch
+            << " row=" << r;
+      }
+    }
   }
 }
 

@@ -78,7 +78,7 @@ TEST(ReplicaGroupTest, MultiReplicaOutputsMatchDirectExecutionBitExactly) {
       ASSERT_EQ(got[j], want[j]) << "request " << i << " element " << j;
     }
   }
-  EXPECT_EQ(server.metrics().request_count("m"), kTotal);
+  EXPECT_EQ(testing::request_count(server.metrics(), "m"), kTotal);
 }
 
 // Power-of-two-choices keeps load spread: with execution pinned (huge

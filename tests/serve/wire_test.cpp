@@ -385,5 +385,24 @@ TEST(WireServerTest, StopUnblocksIdleConnections) {
   EXPECT_THROW(client.infer("m", testing::make_image(rng)), Error);
 }
 
+// A long-lived server must not keep a thread per connection it has ever
+// accepted: closed connections' handlers are joined as new ones arrive, so
+// sequential short connections leave at most the latest one or two held.
+TEST(WireServerTest, ClosedConnectionThreadsAreJoined) {
+  auto registry = make_registry();
+  Server server(registry, quick_options());
+  WireServerOptions wopt;
+  wopt.unix_path = unique_socket_path("reap");
+  WireServer wire(server, wopt);
+  Rng rng(13);
+  const Tensor input = testing::make_image(rng);
+  for (int i = 0; i < 200; ++i) {
+    WireClient client = WireClient::connect_unix(wopt.unix_path);
+    ASSERT_NO_THROW(client.infer("m", input)) << "cycle " << i;
+    client.close();
+  }
+  EXPECT_LE(wire.connection_threads(), 2u);
+}
+
 }  // namespace
 }  // namespace dcnas::serve

@@ -12,7 +12,15 @@
 #   4. README.md perf claims are backed by the checked-in bench records:
 #      the kernel-performance section cites BENCH_kernels.json, and every
 #      `N.NN×` speedup quoted in README.md prefix-matches a "speedup"
-#      value in a checked-in BENCH_*.json.
+#      value in a checked-in BENCH_*.json;
+#   5. span and metric names stay in sync with OBSERVABILITY.md, both
+#      directions: (a) every string literal src/ passes as the name to
+#      counter(/gauge(/histogram(/summary(, obs::Span or DCNAS_TRACE_SPAN
+#      appears backticked in OBSERVABILITY.md; (b) every span in its span
+#      table, and every other backticked name there with at least two dots
+#      whose first segment is a src/ subsystem, is a quoted literal in
+#      src/ (catches stale names left behind by renames and deletions).
+#      A `{label=...}` suffix is stripped before matching.
 #
 # Usage: check_docs.sh [repo-root]   (defaults to the script's parent dir)
 set -u
@@ -89,8 +97,35 @@ while read -r num; do
   fi
 done < <(grep -oE '[0-9]+\.[0-9]+×' README.md | sort -u)
 
+# --- 5. obs span/metric names <-> OBSERVABILITY.md, both directions -----
+obs_doc=OBSERVABILITY.md
+doc_names=$(grep -oE '`[^`]+`' "$obs_doc" | tr -d '`' |
+            sed -E 's/\{[^}]*\}$//' | sort -u)
+src_names=$(find src \( -name '*.cpp' -o -name '*.hpp' \) -print0 |
+  xargs -0 perl -0777 -ne '
+    print "$1\n" while /\b(?:counter|gauge|histogram|summary)\(\s*"([^"]+)"/g;
+    print "$1\n" while /(?:\bobs::Span\s+\w+|\bDCNAS_TRACE_SPAN)\(\s*"[^"]*"\s*,\s*"([^"]+)"/g;' |
+  sort -u)
+if [ -z "$src_names" ]; then
+  fail "no span/metric names extracted from src/ (pattern drift?)"
+fi
+for name in $src_names; do
+  if ! printf '%s\n' "$doc_names" | grep -qxF "$name"; then
+    fail "$name is registered in src/ but not documented in $obs_doc"
+  fi
+done
+src_literals=$(grep -rhoE '"[A-Za-z0-9_.]+"' src | tr -d '"' | sort -u)
+subsystems=$(for dir in src/*/; do basename "$dir"; done | paste -sd'|' -)
+span_rows=$(sed -nE 's/^\| `[^`]*` \| `([^`]+)` \|.*/\1/p' "$obs_doc")
+dotted=$(printf '%s\n' "$doc_names" | grep -E "^($subsystems)\.[^.]+\..+")
+for name in $(printf '%s\n%s\n' "$span_rows" "$dotted" | sort -u); do
+  if ! printf '%s\n' "$src_literals" | grep -qxF "$name"; then
+    fail "$obs_doc names $name, which is no quoted literal in src/"
+  fi
+done
+
 if [ "$failures" -ne 0 ]; then
   echo "check_docs: $failures problem(s) found" >&2
   exit 1
 fi
-echo "check_docs: OK (links resolve, subsystems documented, rule ids in sync, perf numbers backed by BENCH_*.json)"
+echo "check_docs: OK (links resolve, subsystems documented, rule ids in sync, perf numbers backed by BENCH_*.json, obs names in sync)"
