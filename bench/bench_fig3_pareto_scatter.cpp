@@ -13,9 +13,7 @@ const core::SweepResult& shared_sweep() {
   static const core::SweepResult sweep = [] {
     // Full 1,728-trial sweep through the parallel scheduler; pruning stays
     // off, so the result is byte-identical to the serial path.
-    core::PipelineOptions options;
-    options.use_scheduler = true;
-    core::HwNasPipeline pipeline(options);
+    core::HwNasPipeline pipeline;
     return pipeline.run_full_sweep();
   }();
   return sweep;

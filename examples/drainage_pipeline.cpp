@@ -9,9 +9,8 @@
 ///   --trials N   subsample the 1,728-point lattice (default: full sweep)
 ///   --out-dir    where to write fig3_scatter.csv / fig4_radar.csv /
 ///                trials.csv (default: current directory)
-///   --threads N  run the sweep through the parallel trial scheduler on N
-///                threads (0 = all cores); byte-identical trials.csv to the
-///                serial default
+///   --threads N  trial-scheduler threads (default and 0: all cores); the
+///                trials.csv is byte-identical at every thread count
 ///   --prune      median-stop fold pruning (saves fold evaluations but
 ///                drops pruned trials from the artifacts; off for paper
 ///                reproduction)
@@ -70,7 +69,7 @@ int main(int argc, char** argv) {
   }
   const long long trials = args.get_int("trials", 0);
   const std::string out_dir = args.get(std::string("out-dir"), ".");
-  const long long threads = args.get_int("threads", -1);
+  const long long threads = args.get_int("threads", 0);
   const bool prune = args.get_flag("prune");
   const std::string store_dir = args.get(std::string("store"), "");
   const long long workers = args.get_int("workers", 1);
@@ -86,13 +85,10 @@ int main(int argc, char** argv) {
   std::printf("%s\n", core::table2_text(latency::NnMeter::shared()).c_str());
 
   core::PipelineOptions options;
-  if (threads >= 0 || prune || !store_dir.empty()) {
-    options.use_scheduler = true;
-    options.scheduler.threads =
-        threads > 0 ? static_cast<std::size_t>(threads) : 0;
-    options.scheduler.pruner.enabled = prune;
-    options.scheduler.log_progress = true;
-  }
+  options.scheduler.threads =
+      threads > 0 ? static_cast<std::size_t>(threads) : 0;
+  options.scheduler.pruner.enabled = prune;
+  options.scheduler.log_progress = true;
   core::HwNasPipeline pipeline(options);
 
   const nas::SearchSpaceSpec spec =

@@ -38,11 +38,10 @@ struct PipelineOptions {
 
   nas::ExperimentOptions experiment;
 
-  /// Route sweeps through the parallel TrialScheduler instead of the serial
-  /// Experiment::run_all loop. Off by default; when on, the database is
-  /// byte-identical to the serial path as long as scheduler.pruner stays
-  /// disabled (see scheduler.hpp for the determinism contract).
-  bool use_scheduler = false;
+  /// Every sweep runs on the parallel TrialScheduler; its database is
+  /// byte-identical to the serial Experiment::run_all as long as
+  /// scheduler.pruner stays disabled (see scheduler.hpp for the determinism
+  /// contract).
   nas::SchedulerOptions scheduler;
 };
 
@@ -71,7 +70,7 @@ class HwNasPipeline {
   /// to the serial run over spec.enumerate(). workers == 0 uses a single
   /// in-process streamed scheduler run (still through the store, so a
   /// partially complete store resumes either way). options_.scheduler
-  /// supplies the per-worker scheduler knobs; use_scheduler is implied.
+  /// supplies the per-worker scheduler knobs.
   SweepResult run_store_sweep(const nas::SearchSpaceSpec& spec,
                               const std::string& store_dir,
                               int workers) const;

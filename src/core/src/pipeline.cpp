@@ -33,13 +33,9 @@ SweepResult HwNasPipeline::run_sweep(
     const std::vector<nas::TrialConfig>& configs) const {
   const nas::Experiment experiment(*evaluator_, latency::NnMeter::shared(),
                                    options_.experiment);
+  nas::TrialScheduler scheduler(experiment, options_.scheduler);
   SweepResult result;
-  if (options_.use_scheduler) {
-    nas::TrialScheduler scheduler(experiment, options_.scheduler);
-    result.trials = scheduler.run(configs);
-  } else {
-    result.trials = experiment.run_all(configs);
-  }
+  result.trials = scheduler.run(configs);
   result.objectives = objectives_of(result.trials);
   result.front_indices =
       pareto::non_dominated_indices(result.objectives, options_.dominance);

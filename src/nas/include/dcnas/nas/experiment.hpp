@@ -52,7 +52,6 @@ class TrialDatabase {
 
 struct ExperimentOptions {
   std::int64_t deployment_input_hw = graph::kDeploymentInputSize;
-  bool log_progress = false;
 };
 
 /// Runs trials: evaluator for accuracy, nn-Meter for latency on the four

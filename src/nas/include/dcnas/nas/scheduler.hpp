@@ -10,14 +10,17 @@
 /// binding cost of hardware-aware NAS. This scheduler parallelizes the
 /// whole 288-configs x 6-combos x K-fold search:
 ///
-///  - **Level 1 (trials):** configs fan out across a dedicated pool,
-///    bounded by `max_inflight_trials` so a long lattice never floods the
-///    queue.
+///  - **Level 1 (trials):** configs fan out across a dedicated pool, at
+///    most 2x its width in flight so a long lattice never floods the queue.
 ///  - **Level 2 (folds):** each admitted trial's K cross-validation folds
 ///    are independent tasks (every (trial, fold) pair is independently
-///    seeded — see Evaluator::evaluate_fold). Fold tasks run under a
-///    KernelBudgetScope of `kernel_threads_per_trial`, so T concurrent
-///    trials cannot multiply into T x full-kernel-fan-out thread thrash.
+///    seeded — see Evaluator::evaluate_fold). Fold tasks run with the pool
+///    worker's default kernel budget of 1, so T concurrent trials cannot
+///    multiply into T x full-kernel-fan-out thread thrash.
+///
+/// `run(configs)` and `run_streamed(stream)` share one admission loop
+/// (drive); run() only adds a result slot per config and merges the slots
+/// in submission order.
 ///
 /// **Determinism contract.** With pruning off, `run(configs)` returns a
 /// TrialDatabase whose CSV is *byte-identical* to the serial
@@ -42,9 +45,9 @@
 /// fold accuracies are still exactly the serial values.
 
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,13 +97,6 @@ class MedianStopRule {
 struct SchedulerOptions {
   /// Dedicated scheduler pool width; 0 means hardware_concurrency.
   std::size_t threads = 0;
-  /// Trials admitted concurrently; 0 means 2x threads (keeps every worker
-  /// fed while one trial waits on its last fold).
-  std::size_t max_inflight_trials = 0;
-  /// Kernel-thread budget handed to each fold task (KernelBudgetScope).
-  /// 1 = folds are strictly single-threaded compute (the default; trials x
-  /// folds already saturate the pool).
-  std::size_t kernel_threads_per_trial = 1;
   /// Memory-mapped TrialStore directory; empty disables the store. When
   /// set, finished trials commit to the store (so an interrupted run
   /// resumes, across threads and processes) and run_streamed becomes
@@ -145,13 +141,13 @@ class TrialScheduler {
 
   /// Streaming mode for lattices too wide to materialize: pulls candidates
   /// from \p stream one at a time, commits every finished trial to the
-  /// store (SchedulerOptions::store_dir is required), and *retires* each
-  /// trial's in-memory state as it finalizes — peak memory is
-  /// O(max_inflight_trials), not O(lattice). Trials already complete in the
-  /// store are skipped (counted as resumed), which is also what lets N
-  /// worker processes share one store: each streams its own shard. Read
-  /// views come from the store afterwards (TrialStore::assemble for the
-  /// serial-parity ordering).
+  /// store (SchedulerOptions::store_dir is required). As in run(), each
+  /// trial's in-memory state retires with its last fold task, so peak
+  /// memory is O(trials in flight), not O(lattice). Trials already
+  /// complete in the store are skipped (counted as resumed), which is also
+  /// what lets N worker processes share one store: each streams its own
+  /// shard. Read views come from the store afterwards
+  /// (TrialStore::assemble for the serial-parity ordering).
   SchedulerStats run_streamed(CandidateStream& stream);
 
   const SchedulerStats& stats() const { return stats_; }
@@ -165,6 +161,13 @@ class TrialScheduler {
   struct TrialState;
 
   void prepare_run();
+  /// The one admission loop behind run() and run_streamed(): pulls
+  /// candidates from \p stream, resolves each against the store, verifies
+  /// it and fans its folds out, at most 2x pool width trials in flight;
+  /// drains, rethrows the first error, and publishes stats and metrics.
+  /// With \p kept, each kept record lands in (*kept)[submission index].
+  void drive(CandidateStream& stream,
+             std::vector<std::optional<TrialRecord>>* kept);
   bool resolve_from_history(TrialState* trial);
   void commit_entry(const JournalEntry& entry);
   void run_fold_task(TrialState* trial, int fold);
@@ -186,13 +189,6 @@ class TrialScheduler {
   /// key index is not MT-safe).
   std::mutex history_mu_;
   std::unique_ptr<TrialStore> store_;
-  std::vector<std::unique_ptr<TrialState>> trials_;
-  /// Streamed-mode live set: finalize_trial retires entries so memory does
-  /// not grow with the lattice. Guarded by mu_.
-  std::map<TrialState*, std::unique_ptr<TrialState>> live_;
-  /// True while run_streamed is draining (written only with no tasks in
-  /// flight; read by finalize_trial on pool workers).
-  bool streaming_ = false;
 };
 
 }  // namespace dcnas::nas

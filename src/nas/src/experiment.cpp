@@ -1,6 +1,5 @@
 #include "dcnas/nas/experiment.hpp"
 
-#include "dcnas/common/logging.hpp"
 #include "dcnas/common/strings.hpp"
 #include "dcnas/graph/fusion.hpp"
 #include "dcnas/graph/serialize.hpp"
@@ -183,13 +182,7 @@ void Experiment::fill_hardware_objectives(TrialRecord& r) const {
 TrialDatabase Experiment::run_all(
     const std::vector<TrialConfig>& configs) const {
   TrialDatabase db;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    db.add(run_trial(configs[i]));
-    if (options_.log_progress && (i + 1) % 200 == 0) {
-      DCNAS_LOG_INFO << "experiment progress: " << (i + 1) << "/"
-                     << configs.size() << " trials";
-    }
-  }
+  for (const TrialConfig& config : configs) db.add(run_trial(config));
   return db;
 }
 

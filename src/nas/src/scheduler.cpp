@@ -105,12 +105,17 @@ std::size_t MedianStopRule::completed_curves() const {
   return curves_.size();
 }
 
-/// Book-keeping for one in-flight trial. fold_acc/fold_done are indexed by
-/// fold; done_count/remaining_tasks/pruned/failed are guarded by state_mu.
+/// Book-keeping for one in-flight trial, owned by its fold tasks: the state
+/// retires when the last of them finishes, so memory stays O(trials in
+/// flight) however long the stream. fold_acc/fold_done are indexed by fold;
+/// done_count/remaining_tasks/pruned/failed are guarded by state_mu.
 struct TrialScheduler::TrialState {
   TrialConfig config;
   std::size_t index = 0;  ///< submission order — the merge key
   int folds = 0;
+  /// run()'s result slot for this config; nullptr in streamed mode, where
+  /// the record lives only in the store.
+  std::optional<TrialRecord>* slot = nullptr;
 
   std::mutex state_mu;
   std::vector<double> fold_acc;
@@ -120,18 +125,12 @@ struct TrialScheduler::TrialState {
   bool pruned = false;
   bool failed = false;
 
-  /// Set at finalize; slots with keep==true merge into the database.
-  bool keep = false;
-  std::optional<TrialRecord> result;
   std::chrono::steady_clock::time_point admitted_at;
 };
 
 TrialScheduler::TrialScheduler(const Experiment& experiment,
                                const SchedulerOptions& options)
-    : experiment_(experiment), options_(options), pool_(options.threads) {
-  DCNAS_CHECK(options_.kernel_threads_per_trial >= 1,
-              "kernel_threads_per_trial must be >= 1");
-}
+    : experiment_(experiment), options_(options), pool_(options.threads) {}
 
 TrialScheduler::~TrialScheduler() = default;
 
@@ -155,16 +154,15 @@ void TrialScheduler::prepare_run() {
 
 bool TrialScheduler::resolve_from_history(TrialState* trial) {
   if (store_ == nullptr) return false;
-  // Copy under history_mu_: in streamed mode finalizes append (and thus
-  // mutate the store's key index) concurrently with admission lookups.
+  // Copy under history_mu_: finalizes append (and thus mutate the store's
+  // key index) concurrently with admission lookups.
   std::lock_guard<std::mutex> lock(history_mu_);
   const JournalEntry* entry = store_->find(trial->config.lattice_key());
   if (entry == nullptr) return false;
   if (entry->status == TrialStatus::kOk &&
       entry->record.fold_accuracies.size() ==
           static_cast<std::size_t>(trial->folds)) {
-    trial->keep = true;
-    trial->result = entry->record;
+    if (trial->slot != nullptr) *trial->slot = entry->record;
     if (options_.pruner.enabled) {
       rule_->report_completed(running_means(entry->record.fold_accuracies));
     }
@@ -186,6 +184,33 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
     run_span.arg("trials", static_cast<std::int64_t>(configs.size()));
     run_span.arg("threads", static_cast<std::int64_t>(pool_.size()));
   }
+  VectorStream stream(configs);
+  std::vector<std::optional<TrialRecord>> kept(configs.size());
+  drive(stream, &kept);
+
+  // Deterministic merge: submission order, kept slots only.
+  TrialDatabase db;
+  for (auto& record : kept) {
+    if (record) db.add(std::move(*record));
+  }
+  return db;
+}
+
+SchedulerStats TrialScheduler::run_streamed(CandidateStream& stream) {
+  DCNAS_CHECK(!options_.store_dir.empty(),
+              "run_streamed requires SchedulerOptions::store_dir — streamed "
+              "results live in the store, not a returned database");
+  obs::Span run_span("nas", "nas.sched.run_streamed");
+  if (run_span.armed()) {
+    run_span.arg("trials", static_cast<std::int64_t>(stream.total()));
+    run_span.arg("threads", static_cast<std::int64_t>(pool_.size()));
+  }
+  drive(stream, nullptr);
+  return stats_;
+}
+
+void TrialScheduler::drive(CandidateStream& stream,
+                           std::vector<std::optional<TrialRecord>>* kept) {
   const auto t0 = std::chrono::steady_clock::now();
   auto& metrics = SchedulerMetrics::instance();
 
@@ -194,37 +219,28 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
   const int folds = experiment_.evaluator().fold_count();
   DCNAS_CHECK(folds >= 1, "evaluator must report >= 1 fold");
 
-  // Resolve every config against the store history; the rest
-  // become pending work.
-  trials_.clear();
-  trials_.reserve(configs.size());
-  std::vector<TrialState*> pending;
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    auto state = std::make_unique<TrialState>();
-    state->config = configs[i];
-    state->index = i;
-    state->folds = folds;
-    const bool resolved = resolve_from_history(state.get());
-    if (resolved) {
-      ++stats_.resumed;
-      metrics.resumed.add(1);
-    }
-    trials_.push_back(std::move(state));
-    if (!resolved) pending.push_back(trials_.back().get());
-  }
+  // 2x the pool width keeps every worker fed while one trial waits on its
+  // last fold.
+  const std::size_t max_inflight = 2 * pool_.size();
+  const std::int64_t total = stream.total();
+  std::int64_t consumed = 0;
 
-  const std::size_t max_inflight =
-      options_.max_inflight_trials != 0
-          ? options_.max_inflight_trials
-          : std::max<std::size_t>(1, 2 * pool_.size());
-
-  // Admission loop: verify + fan the trial's folds out, holding at most
-  // max_inflight trials in flight.
-  std::size_t admitted = 0;
-  TrialState* admitting = nullptr;  ///< trial being fanned out right now
-  int submitted = 0;                ///< its fold tasks actually enqueued
+  // Admission loop: resolve against the store, verify, and fan the trial's
+  // folds out, holding at most max_inflight trials in flight.
+  std::shared_ptr<TrialState> admitting;  ///< trial being fanned out now
+  int submitted = 0;                      ///< its fold tasks actually enqueued
   try {
-    for (TrialState* trial : pending) {
+    while (std::optional<TrialConfig> config = stream.next()) {
+      auto trial = std::make_shared<TrialState>();
+      trial->config = std::move(*config);
+      trial->index = static_cast<std::size_t>(consumed++);
+      trial->folds = folds;
+      if (kept != nullptr) trial->slot = &(*kept)[trial->index];
+      if (resolve_from_history(trial.get())) {
+        ++stats_.resumed;
+        metrics.resumed.add(1);
+        continue;  // the state frees here; the record is already stored
+      }
       {
         std::unique_lock<std::mutex> lock(mu_);
         cv_.wait(lock, [&] { return inflight_ < max_inflight || abort_; });
@@ -232,8 +248,7 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
         ++inflight_;
         metrics.inflight.set(static_cast<double>(inflight_));
       }
-      ++admitted;
-      metrics.queue_depth.set(static_cast<double>(pending.size() - admitted));
+      metrics.queue_depth.set(static_cast<double>(total - consumed));
       admitting = trial;
       submitted = 0;
       // The same trust boundary the serial path runs (once per trial, not
@@ -246,7 +261,7 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
       ++stats_.scheduled;
       for (int f = 0; f < folds; ++f) {
         pool_.submit(std::function<void()>(
-            [this, trial, f] { run_fold_task(trial, f); }));
+            [this, trial, f] { run_fold_task(trial.get(), f); }));
         ++submitted;
       }
       admitting = nullptr;
@@ -257,12 +272,12 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
       abort_ = true;
       if (!first_error_) first_error_ = std::current_exception();
     }
-    if (submitted == 0) {
+    if (admitting != nullptr && submitted == 0) {
       // The trial never fanned out (verification threw): its admission
       // slot retires here.
       std::lock_guard<std::mutex> lock(mu_);
       --inflight_;
-    } else {
+    } else if (admitting != nullptr) {
       // Partial fan-out (a submit threw mid-loop): account for the fold
       // tasks that never enqueued so the already-queued ones — which see
       // abort_ and skip evaluation — can still drive the trial to
@@ -274,7 +289,7 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
         admitting->remaining_tasks -= admitting->folds - submitted;
         finalize_now = admitting->remaining_tasks == 0;
       }
-      if (finalize_now) finalize_trial(admitting);
+      if (finalize_now) finalize_trial(admitting.get());
     }
     cv_.notify_all();
   }
@@ -294,13 +309,6 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
   }
   if (error) std::rethrow_exception(error);
 
-  // Deterministic merge: submission order, keep-slots only.
-  TrialDatabase db;
-  for (const auto& trial : trials_) {
-    if (trial->keep) db.add(std::move(*trial->result));
-  }
-  trials_.clear();
-
   stats_.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -317,141 +325,6 @@ TrialDatabase TrialScheduler::run(const std::vector<TrialConfig>& configs) {
                    << " pruned in " << stats_.wall_seconds << "s on "
                    << pool_.size() << " threads";
   }
-  return db;
-}
-
-SchedulerStats TrialScheduler::run_streamed(CandidateStream& stream) {
-  DCNAS_CHECK(!options_.store_dir.empty(),
-              "run_streamed requires SchedulerOptions::store_dir — streamed "
-              "results live in the store, not a returned database");
-  obs::Span run_span("nas", "nas.sched.run_streamed");
-  if (run_span.armed()) {
-    run_span.arg("trials", static_cast<std::int64_t>(stream.total()));
-    run_span.arg("threads", static_cast<std::int64_t>(pool_.size()));
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  auto& metrics = SchedulerMetrics::instance();
-
-  prepare_run();
-
-  const int folds = experiment_.evaluator().fold_count();
-  DCNAS_CHECK(folds >= 1, "evaluator must report >= 1 fold");
-
-  trials_.clear();
-  live_.clear();
-  streaming_ = true;
-
-  const std::size_t max_inflight =
-      options_.max_inflight_trials != 0
-          ? options_.max_inflight_trials
-          : std::max<std::size_t>(1, 2 * pool_.size());
-  const std::int64_t total = stream.total();
-  std::int64_t consumed = 0;
-
-  TrialState* admitting = nullptr;  ///< trial being fanned out right now
-  int submitted = 0;                ///< its fold tasks actually enqueued
-  try {
-    while (std::optional<TrialConfig> config = stream.next()) {
-      ++consumed;
-      TrialState* trial;
-      {
-        auto state = std::make_unique<TrialState>();
-        state->config = *config;
-        state->index = static_cast<std::size_t>(consumed - 1);
-        state->folds = folds;
-        if (resolve_from_history(state.get())) {
-          ++stats_.resumed;
-          metrics.resumed.add(1);
-          continue;  // state frees here; the record is already on disk
-        }
-        trial = state.get();
-        std::lock_guard<std::mutex> lock(mu_);
-        live_.emplace(trial, std::move(state));
-      }
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return inflight_ < max_inflight || abort_; });
-        if (abort_) {
-          live_.erase(trial);
-          break;
-        }
-        ++inflight_;
-        metrics.inflight.set(static_cast<double>(inflight_));
-      }
-      metrics.queue_depth.set(static_cast<double>(total - consumed));
-      admitting = trial;
-      submitted = 0;
-      verify_candidate(trial->config);
-      trial->admitted_at = std::chrono::steady_clock::now();
-      trial->fold_acc.assign(static_cast<std::size_t>(folds), 0.0);
-      trial->fold_done.assign(static_cast<std::size_t>(folds), 0);
-      trial->remaining_tasks = folds;
-      ++stats_.scheduled;
-      for (int f = 0; f < folds; ++f) {
-        pool_.submit(std::function<void()>(
-            [this, trial, f] { run_fold_task(trial, f); }));
-        ++submitted;
-      }
-      admitting = nullptr;
-    }
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      abort_ = true;
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    if (admitting != nullptr && submitted == 0) {
-      // Verification threw before any fold task enqueued: retire the slot
-      // and the state here.
-      std::lock_guard<std::mutex> lock(mu_);
-      --inflight_;
-      live_.erase(admitting);
-    } else if (admitting != nullptr) {
-      // Partial fan-out: same accounting as run() — the queued tasks see
-      // abort_, skip evaluation, and drive the trial to finalize.
-      bool finalize_now;
-      {
-        std::lock_guard<std::mutex> lock(admitting->state_mu);
-        admitting->remaining_tasks -= admitting->folds - submitted;
-        finalize_now = admitting->remaining_tasks == 0;
-      }
-      if (finalize_now) finalize_trial(admitting);
-    }
-    cv_.notify_all();
-  }
-
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return inflight_ == 0; });
-  }
-  pool_.wait_idle();
-  streaming_ = false;
-
-  std::exception_ptr error;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    error = first_error_;
-    live_.clear();  // abort may leave never-admitted states behind
-  }
-  if (error) std::rethrow_exception(error);
-
-  stats_.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  metrics.inflight.set(0.0);
-  metrics.queue_depth.set(0.0);
-  if (stats_.wall_seconds > 0.0) {
-    metrics.trials_per_s.set(
-        static_cast<double>(stats_.completed + stats_.pruned) /
-        stats_.wall_seconds);
-  }
-  if (options_.log_progress) {
-    DCNAS_LOG_INFO << "scheduler streamed run: " << stats_.completed
-                   << " completed, " << stats_.resumed << " resumed, "
-                   << stats_.pruned << " pruned in " << stats_.wall_seconds
-                   << "s on " << pool_.size() << " threads";
-  }
-  return stats_;
 }
 
 void TrialScheduler::run_fold_task(TrialState* trial, int fold) {
@@ -474,9 +347,8 @@ void TrialScheduler::run_fold_task(TrialState* trial, int fold) {
       span.arg("fold", static_cast<std::int64_t>(fold));
     }
     try {
-      // Budget the kernels this fold may fan out over; without it, T
-      // concurrent trials x full GEMM fan-out would thrash the machine.
-      KernelBudgetScope budget(options_.kernel_threads_per_trial);
+      // Runs at the pool worker's default kernel budget of 1: T concurrent
+      // trials x full GEMM fan-out would thrash the machine.
       acc = experiment_.evaluator().evaluate_fold(trial->config, fold);
     } catch (...) {
       error = std::current_exception();
@@ -532,11 +404,11 @@ void TrialScheduler::finalize_trial(TrialState* trial) {
   // An aborted run leaves fold tasks skipped on trials that neither failed
   // nor pruned themselves (done < folds). Those are incomplete: a kOk
   // store record would persist zero-filled accuracies that a resume run
-  // trusts verbatim, so they get no store record and no keep-slot — the
+  // trusts verbatim, so they get no store record and no result slot — the
   // next run re-evaluates them from scratch.
   const bool complete = !failed && !pruned && done == trial->folds;
 
-  // Nothing below may escape: this runs on a pool worker, and run() blocks
+  // Nothing below may escape: this runs on a pool worker, and drive() blocks
   // on inflight_ reaching zero — an escaped exception (store append on a
   // full disk, fill_hardware_objectives) would skip the bookkeeping and
   // hang the run forever instead of reporting the error.
@@ -581,8 +453,7 @@ void TrialScheduler::finalize_trial(TrialState* trial) {
           std::chrono::duration<double, std::milli>(
               std::chrono::steady_clock::now() - trial->admitted_at)
               .count());
-      trial->result = std::move(record);
-      trial->keep = true;
+      if (trial->slot != nullptr) *trial->slot = std::move(record);
     }
   } catch (...) {
     finalize_ok = false;
@@ -616,14 +487,6 @@ void TrialScheduler::finalize_trial(TrialState* trial) {
   if (options_.log_progress && finished % 200 == 0 && finished > 0) {
     DCNAS_LOG_INFO << "scheduler progress: " << finished
                    << " trials finished";
-  }
-  if (streaming_) {
-    // Streamed trials retire here: the record is in the store, nothing
-    // merges later, and this task is provably the last to touch the state
-    // (remaining_tasks hit zero above). Without this, a 10^5-point sweep
-    // would accumulate one TrialState per lattice point.
-    std::lock_guard<std::mutex> lock(mu_);
-    live_.erase(trial);
   }
 }
 

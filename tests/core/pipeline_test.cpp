@@ -140,6 +140,11 @@ TEST_F(PipelineTest, SweepIsDeterministic) {
     EXPECT_DOUBLE_EQ(again.trials.record(i).latency_ms,
                      sweep_->trials.record(i).latency_ms);
   }
+  // The default pipeline sweeps on the trial scheduler; its CSV must be the
+  // serial reference's, byte for byte.
+  const nas::Experiment serial(pipe2.evaluator(), latency::NnMeter::shared());
+  EXPECT_EQ(again.trials.to_csv().to_string(),
+            serial.run_all(subset).to_csv().to_string());
 }
 
 }  // namespace

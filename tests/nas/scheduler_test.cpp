@@ -315,19 +315,6 @@ class ThrowingEvaluator : public Evaluator {
   int bad_fold_;
 };
 
-TEST(SchedulerTest, EvaluatorExceptionAbortsAndRethrows) {
-  ThrowingEvaluator eval(3);
-  const Experiment exp(eval, latency::NnMeter::shared());
-  const auto configs = sample_configs(16, 21);
-  SchedulerOptions opt;
-  opt.threads = 4;
-  TrialScheduler scheduler(exp, opt);
-  EXPECT_THROW(scheduler.run(configs), InvalidArgument);
-  // The scheduler's pool drained cleanly: a second run on a healthy
-  // evaluator-free path still works.
-  EXPECT_EQ(scheduler.run({}).size(), 0u);
-}
-
 /// Delegates to the oracle except for one poisoned (config, fold) pair —
 /// lets an abort happen mid-search while every other committed value stays
 /// the true oracle value.
@@ -353,56 +340,130 @@ class FlakyOracleEvaluator : public Evaluator {
   int bad_fold_;
 };
 
-TEST(SchedulerTest, AbortedRunNeverCommitsIncompleteTrials) {
-  const auto configs = sample_configs(16, 31);
-  const TempDir dir("abort");
-  const SchedulerOptions opt = store_options(dir, 4);
+// Every abort-path case runs through both entry points: run(configs) and
+// run_streamed(stream) share one admission loop, and each must rethrow the
+// first error, leave only complete kOk records in the store, and let a
+// healthy second run reproduce the serial sweep byte for byte.
+enum class Entry { kRun, kStreamed };
 
-  // First run aborts mid-search: in-flight trials whose remaining folds
-  // were skipped by the abort must not be committed as ok (their missing
-  // folds are zero-filled in memory).
-  {
-    FlakyOracleEvaluator flaky(configs[8].lattice_key(), 2);
-    const Experiment exp(flaky, latency::NnMeter::shared());
-    TrialScheduler scheduler(exp, opt);
-    EXPECT_THROW(scheduler.run(configs), InvalidArgument);
+void PrintTo(Entry entry, std::ostream* os) {
+  *os << (entry == Entry::kRun ? "run" : "run_streamed");
+}
+
+class SchedulerAbortTest : public ::testing::TestWithParam<Entry> {
+ protected:
+  /// A store dir per (case, entry point): ctest may run both at once.
+  static std::string dir_name(const std::string& name) {
+    return name + (GetParam() == Entry::kRun ? "_run" : "_streamed");
   }
 
-  // Resume with a healthy evaluator: every store record must hold fully
-  // evaluated oracle values, so the merged database is exactly the serial
-  // sweep. A zero-corrupted ok entry would survive resume verbatim and
-  // break this parity.
-  OracleEvaluator eval;
-  const Experiment exp(eval, latency::NnMeter::shared());
-  const std::string serial = csv_text(exp.run_all(configs));
-  TrialScheduler second(exp, opt);
-  EXPECT_EQ(csv_text(second.run(configs)), serial);
-  EXPECT_EQ(second.stats().resumed + second.stats().scheduled,
-            configs.size());
+  /// Drives \p configs through the entry point under test.
+  static void drive(TrialScheduler& scheduler,
+                    const std::vector<TrialConfig>& configs) {
+    if (GetParam() == Entry::kRun) {
+      (void)scheduler.run(configs);
+    } else {
+      VectorStream stream(configs);
+      scheduler.run_streamed(stream);
+    }
+  }
+
+  /// After an aborted run into \p dir: every store record is a complete
+  /// kOk trial, and a healthy run over \p configs through the same entry
+  /// point resumes from that store into the serial sweep's exact bytes. A
+  /// zero-filled or partial ok entry would survive resume verbatim and
+  /// break this parity.
+  static void expect_clean_store_then_parity(
+      const TempDir& dir, const std::vector<TrialConfig>& configs) {
+    OracleEvaluator eval;
+    TrialStoreOptions sopt;
+    sopt.fsync_each = false;
+    {
+      const TrialStore store(dir.str(), sopt);
+      for (std::uint64_t i = 0; i < store.size(); ++i) {
+        const JournalEntry entry = store.read(i);
+        EXPECT_EQ(entry.status, TrialStatus::kOk) << "record " << i;
+        EXPECT_EQ(entry.record.fold_accuracies.size(),
+                  static_cast<std::size_t>(eval.fold_count()))
+            << "record " << i;
+      }
+    }
+    const Experiment exp(eval, latency::NnMeter::shared());
+    TrialScheduler second(exp, store_options(dir, 4));
+    drive(second, configs);
+    EXPECT_EQ(second.stats().resumed + second.stats().scheduled,
+              configs.size());
+    const TrialStore store(dir.str(), sopt);
+    EXPECT_EQ(csv_text(store.assemble(configs)),
+              csv_text(exp.run_all(configs)));
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(EntryPoints, SchedulerAbortTest,
+                         ::testing::Values(Entry::kRun, Entry::kStreamed),
+                         ::testing::PrintToStringParamName());
+
+TEST_P(SchedulerAbortTest, EvaluatorExceptionAbortsAndRethrows) {
+  const auto configs = sample_configs(16, 21);
+  const TempDir dir(dir_name("throwing"));
+  {
+    ThrowingEvaluator eval(3);
+    const Experiment exp(eval, latency::NnMeter::shared());
+    TrialScheduler scheduler(exp, store_options(dir, 4));
+    EXPECT_THROW(drive(scheduler, configs), InvalidArgument);
+    // The scheduler's pool drained cleanly: an empty run on the same
+    // scheduler still works.
+    drive(scheduler, {});
+    EXPECT_EQ(scheduler.stats().scheduled, 0u);
+  }
+  expect_clean_store_then_parity(dir, configs);
 }
 
-TEST(SchedulerTest, FinalizeExceptionAbortsInsteadOfHanging) {
-  OracleEvaluator eval;
-  ExperimentOptions bad;
-  bad.deployment_input_hw = 0;  // fill_hardware_objectives throws at finalize
-  const Experiment exp(eval, latency::NnMeter::shared(), bad);
-  SchedulerOptions opt;
-  opt.threads = 2;
-  TrialScheduler scheduler(exp, opt);
-  // Pre-fix this deadlocked: the finalize exception escaped onto the pool
-  // worker before the in-flight bookkeeping ran, so run() waited forever.
-  EXPECT_THROW(scheduler.run(sample_configs(6, 29)), InvalidArgument);
+TEST_P(SchedulerAbortTest, AbortedRunNeverCommitsIncompleteTrials) {
+  const auto configs = sample_configs(16, 31);
+  const TempDir dir(dir_name("abort"));
+  {
+    // The run aborts mid-search: in-flight trials whose remaining folds
+    // were skipped by the abort must not be committed as ok (their missing
+    // folds are zero-filled in memory).
+    FlakyOracleEvaluator flaky(configs[8].lattice_key(), 2);
+    const Experiment exp(flaky, latency::NnMeter::shared());
+    TrialScheduler scheduler(exp, store_options(dir, 4));
+    EXPECT_THROW(drive(scheduler, configs), InvalidArgument);
+  }
+  expect_clean_store_then_parity(dir, configs);
 }
 
-TEST(SchedulerTest, InvalidConfigFailsVerificationBeforeEvaluation) {
-  OracleEvaluator eval;
-  const Experiment exp(eval, latency::NnMeter::shared());
-  auto configs = sample_configs(4, 23);
-  configs[2].kernel_size = 11;  // not a lattice value
-  SchedulerOptions opt;
-  opt.threads = 2;
-  TrialScheduler scheduler(exp, opt);
-  EXPECT_THROW(scheduler.run(configs), InvalidArgument);
+TEST_P(SchedulerAbortTest, FinalizeExceptionAbortsInsteadOfHanging) {
+  const auto configs = sample_configs(6, 29);
+  const TempDir dir(dir_name("finalize"));
+  {
+    OracleEvaluator eval;
+    ExperimentOptions bad;
+    bad.deployment_input_hw = 0;  // fill_hardware_objectives throws
+    const Experiment exp(eval, latency::NnMeter::shared(), bad);
+    TrialScheduler scheduler(exp, store_options(dir, 2));
+    // Pre-fix this deadlocked: the finalize exception escaped onto the
+    // pool worker before the in-flight bookkeeping ran, so the run waited
+    // forever.
+    EXPECT_THROW(drive(scheduler, configs), InvalidArgument);
+  }
+  expect_clean_store_then_parity(dir, configs);
+}
+
+TEST_P(SchedulerAbortTest, InvalidConfigFailsVerificationBeforeEvaluation) {
+  const auto configs = sample_configs(4, 23);
+  const TempDir dir(dir_name("invalid"));
+  {
+    auto invalid = configs;
+    invalid[2].kernel_size = 11;  // not a lattice value
+    OracleEvaluator eval;
+    const Experiment exp(eval, latency::NnMeter::shared());
+    TrialScheduler scheduler(exp, store_options(dir, 2));
+    EXPECT_THROW(drive(scheduler, invalid), InvalidArgument);
+  }
+  // The healthy rerun is over the corrected list.
+  expect_clean_store_then_parity(dir, configs);
 }
 
 }  // namespace

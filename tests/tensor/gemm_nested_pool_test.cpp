@@ -58,7 +58,7 @@ TEST_F(GemmNestedPoolTest, RaisedKernelBudgetStaysCorrectAndDeterministic) {
   gemm(kN, kN, kN, 1.0f, a.data(), b.data(), 0.0f, serial.data());
 
   // Concurrent pool tasks each running a budgeted (fan-out-capable) GEMM —
-  // the exact shape of scheduler fold tasks with kernel_threads_per_trial>1.
+  // the shape of a non-global pool's tasks that raise their kernel budget.
   ThreadPool pool(3);
   std::vector<std::vector<float>> results(
       6, std::vector<float>(static_cast<std::size_t>(kN * kN), 0.0f));

@@ -20,7 +20,11 @@
 #      table, and every other backticked name there with at least two dots
 #      whose first segment is a src/ subsystem, is a quoted literal in
 #      src/ (catches stale names left behind by renames and deletions).
-#      A `{label=...}` suffix is stripped before matching.
+#      A `{label=...}` suffix is stripped before matching;
+#   6. every backticked `<Name>Options::<field>` (or `<Name>Options.<field>`)
+#      in README, DESIGN, OBSERVABILITY, QUANTIZATION and EXPERIMENTS names
+#      a member declared inside `struct <Name>Options { ... }` in a header
+#      under src/*/include (catches docs that still cite a deleted option).
 #
 # Usage: check_docs.sh [repo-root]   (defaults to the script's parent dir)
 set -u
@@ -124,8 +128,35 @@ for name in $(printf '%s\n%s\n' "$span_rows" "$dotted" | sort -u); do
   fi
 done
 
+# --- 6. documented option fields are declared members ------------------
+option_docs="README.md DESIGN.md OBSERVABILITY.md QUANTIZATION.md EXPERIMENTS.md"
+headers=$(find src/*/include -name '*.hpp' | sort)
+while read -r tok; do
+  [ -z "$tok" ] && continue
+  struct="${tok%%[:.]*}"
+  field="${tok##*[:.]}"
+  # The struct's brace-balanced body with // comments stripped; the field
+  # counts as declared when it is followed by an initializer or `;`.
+  # shellcheck disable=SC2086
+  if ! perl -e '
+      my ($struct, $field) = splice(@ARGV, 0, 2);
+      local $/;
+      for my $file (@ARGV) {
+        open(my $fh, "<", $file) or next;
+        my $src = <$fh>;
+        $src =~ s{//[^\n]*}{}g;
+        while ($src =~ /\bstruct\s+\Q$struct\E\s*(\{(?:[^{}]++|(?1))*\})/g) {
+          exit 0 if $1 =~ /\b\Q$field\E\s*[=;{]/;
+        }
+      }
+      exit 1;' "$struct" "$field" $headers; then
+    fail "docs cite $tok, which is no member of struct $struct under src/*/include"
+  fi
+done < <(grep -ohE '`[A-Z][A-Za-z0-9]*Options(::|\.)[A-Za-z_][A-Za-z0-9_]*' \
+           $option_docs 2>/dev/null | tr -d '`' | sort -u)
+
 if [ "$failures" -ne 0 ]; then
   echo "check_docs: $failures problem(s) found" >&2
   exit 1
 fi
-echo "check_docs: OK (links resolve, subsystems documented, rule ids in sync, perf numbers backed by BENCH_*.json, obs names in sync)"
+echo "check_docs: OK (links resolve, subsystems documented, rule ids in sync, perf numbers backed by BENCH_*.json, obs names in sync, option fields declared)"
