@@ -25,7 +25,7 @@
 ///                (SearchSpaceSpec::wide) instead of the paper's 1,728
 ///   --smoke      with --wide: deterministic 1-in-128 stride subsample of
 ///                the wide lattice (950 buildable trials — the CI-sized
-///                sweep)
+///                sweep), run in one process (rejects --workers)
 
 #include <cstdio>
 #include <filesystem>
@@ -75,6 +75,14 @@ int main(int argc, char** argv) {
   const long long workers = args.get_int("workers", 1);
   const bool wide = args.get_flag("wide");
   const bool smoke = args.get_flag("smoke");
+  if (smoke && args.has("workers")) {
+    // The smoke stride runs in one process; accepting --workers would
+    // silently ignore it.
+    std::fprintf(stderr,
+                 "drainage_pipeline: --smoke runs in one process and cannot "
+                 "be combined with --workers\n");
+    return 2;
+  }
 
   std::printf("=== dcnas drainage-crossing HW-NAS pipeline ===\n\n");
   std::printf("%s\n", core::table1_text().c_str());

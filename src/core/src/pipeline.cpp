@@ -59,10 +59,7 @@ SweepResult HwNasPipeline::run_store_sweep(const nas::SearchSpaceSpec& spec,
     nas::LatticeStream stream(spec);
     scheduler.run_streamed(stream);
   } else {
-    nas::MultiProcSweepOptions mp;
-    mp.workers = workers;
-    mp.scheduler = sched;
-    nas::run_multiprocess_sweep(experiment, spec, store_dir, mp);
+    nas::run_multiprocess_sweep(experiment, spec, workers, sched);
   }
   // Read view in lattice order — the same order a serial
   // run_sweep(spec.enumerate()) would produce, so the CSVs match byte for

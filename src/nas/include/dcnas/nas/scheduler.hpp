@@ -27,7 +27,7 @@
 /// `Experiment::run_all(configs)` at any thread count: fold accuracies are
 /// merged in fold-index order, records in submission order, and the PR-4
 /// kernels are bitwise thread-count-independent. The parity is enforced by
-/// tests and hashed into BENCH_nas.json on every CI run.
+/// tests, with the oracle and with real training underneath.
 ///
 /// **Resume.** With a `store_dir`, every finished trial is committed (and
 /// fsynced) to the crash-safe TrialStore keyed by lattice_key() before the

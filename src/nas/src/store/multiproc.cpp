@@ -5,14 +5,14 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <string>
 #include <vector>
 
 #include "dcnas/common/error.hpp"
-#include "dcnas/common/logging.hpp"
+#include "dcnas/nas/store/trial_store.hpp"
 
 namespace dcnas::nas {
 
@@ -23,12 +23,12 @@ namespace {
 /// the parent's stderr).
 [[noreturn]] void worker_main(const Experiment& experiment,
                               const SearchSpaceSpec& spec, int worker,
-                              const MultiProcSweepOptions& options) {
+                              int workers, const SchedulerOptions& options) {
   try {
-    SchedulerOptions sched = options.scheduler;
+    SchedulerOptions sched = options;
     sched.store_fingerprint = spec.fingerprint();
     TrialScheduler scheduler(experiment, sched);
-    LatticeStream shard(spec, worker, options.workers);
+    LatticeStream shard(spec, worker, workers);
     scheduler.run_streamed(shard);
     std::_Exit(0);
   } catch (const std::exception& e) {
@@ -42,31 +42,31 @@ namespace {
 
 }  // namespace
 
-MultiProcSweepStats run_multiprocess_sweep(
-    const Experiment& experiment, const SearchSpaceSpec& spec,
-    const std::string& store_dir, const MultiProcSweepOptions& options) {
-  DCNAS_CHECK(options.workers >= 1, "multi-process sweep needs >= 1 worker");
+void run_multiprocess_sweep(const Experiment& experiment,
+                            const SearchSpaceSpec& spec, int workers,
+                            const SchedulerOptions& scheduler) {
+  DCNAS_CHECK(workers >= 1, "multi-process sweep needs >= 1 worker");
+  DCNAS_CHECK(!scheduler.store_dir.empty(),
+              "multi-process sweep needs SchedulerOptions::store_dir");
   spec.validate();
-  const auto t0 = std::chrono::steady_clock::now();
-
-  MultiProcSweepOptions opts = options;
-  opts.scheduler.store_dir = store_dir;
 
   // Create (or recover) the store before forking so workers race on
   // appends, never on initialization/recovery.
   {
     TrialStoreOptions sopt;
     sopt.lattice_fingerprint = spec.fingerprint();
-    sopt.fsync_each = opts.scheduler.fsync_store;
-    TrialStore store(store_dir, sopt);
+    sopt.fsync_each = scheduler.fsync_store;
+    TrialStore store(scheduler.store_dir, sopt);
   }
 
   std::vector<pid_t> pids;
-  pids.reserve(static_cast<std::size_t>(opts.workers));
-  for (int w = 0; w < opts.workers; ++w) {
+  pids.reserve(static_cast<std::size_t>(workers));
+  for (int w = 0; w < workers; ++w) {
     const pid_t pid = ::fork();
     DCNAS_CHECK(pid >= 0, "fork failed for store worker");
-    if (pid == 0) worker_main(experiment, spec, w, opts);  // never returns
+    if (pid == 0) {
+      worker_main(experiment, spec, w, workers, scheduler);  // never returns
+    }
     pids.push_back(pid);
   }
 
@@ -82,20 +82,6 @@ MultiProcSweepStats run_multiprocess_sweep(
   }
   DCNAS_ASSERT(failures == 0,
                std::to_string(failures) + " store worker(s) failed");
-
-  MultiProcSweepStats stats;
-  stats.workers = opts.workers;
-  stats.lattice_size = spec.size();
-  {
-    TrialStoreOptions sopt;
-    sopt.lattice_fingerprint = spec.fingerprint();
-    TrialStore store(store_dir, sopt);
-    stats.store_records = store.size();
-  }
-  stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return stats;
 }
 
 }  // namespace dcnas::nas

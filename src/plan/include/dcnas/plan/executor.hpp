@@ -13,9 +13,10 @@
 /// when a lease misses the pool and activation memory must actually be
 /// allocated (first requests after start-up or after a larger batch than
 /// ever seen). In steady state every lease is a pool hit
-/// (`plan.exec.arena_reuse.count`) and the counter stays flat — bench_serve
-/// gates on exactly that. The returned output Tensor is the API's
-/// value-semantics copy-out and is not an arena allocation.
+/// (`plan.exec.arena_reuse.count`) and the counter stays flat —
+/// PlanExecutorTest.SteadyStateRunsAllocateNothing gates on exactly that.
+/// The returned output Tensor is the API's value-semantics copy-out and is
+/// not an arena allocation.
 
 #include <cstdint>
 #include <functional>

@@ -47,9 +47,10 @@ std::string model_metric(std::string_view family, std::string_view model);
 /// destruction closes intake, drains accepted requests, and joins.
 class Replica {
  public:
-  /// \p metrics receives the per-model families (see model_metric()). It
-  /// is shared across the owning group's replicas (the registry is
-  /// thread-safe) and must outlive the replica.
+  /// Starts \p num_workers (>= 1) workers. \p metrics receives the
+  /// per-model families (see model_metric()). It is shared across the
+  /// owning group's replicas (the registry is thread-safe) and must outlive
+  /// the replica.
   Replica(std::shared_ptr<ModelRegistry> registry, const BatchPolicy& policy,
           std::size_t num_workers, obs::MetricsRegistry* metrics);
   ~Replica();
@@ -87,20 +88,16 @@ class Replica {
   ThreadPool pool_;  ///< last member: destroyed (joined) first
 };
 
-/// Replication + routing options, embedded in ServerOptions.
-struct ReplicaGroupOptions {
-  std::size_t num_replicas = 1;    ///< independent {batcher, pool} units
-  std::size_t workers_per_replica = 2;
-  BatchPolicy batch;               ///< per replica (capacity is per replica)
-};
-
 /// N replicas behind power-of-two-choices routing. Thread-safe: submit()
 /// may be called from any number of producer threads.
 class ReplicaGroup {
  public:
+  /// Starts \p num_replicas replicas of \p workers_per_replica workers
+  /// each, every one batching under \p policy (capacity is per replica).
+  /// A count of 0 means 1.
   ReplicaGroup(std::shared_ptr<ModelRegistry> registry,
-               const ReplicaGroupOptions& options,
-               obs::MetricsRegistry* metrics);
+               std::size_t num_replicas, std::size_t workers_per_replica,
+               const BatchPolicy& policy, obs::MetricsRegistry* metrics);
 
   ReplicaGroup(const ReplicaGroup&) = delete;
   ReplicaGroup& operator=(const ReplicaGroup&) = delete;

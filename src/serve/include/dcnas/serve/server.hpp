@@ -29,6 +29,7 @@
 
 namespace dcnas::serve {
 
+/// A count of 0 means 1 (ReplicaGroup clamps both).
 struct ServerOptions {
   std::size_t num_workers = 2;   ///< batch-executing threads *per replica*
   std::size_t num_replicas = 1;  ///< independent {batcher, pool} units
@@ -76,8 +77,6 @@ class Server {
   const ReplicaGroup& replicas() const { return group_; }
 
  private:
-  static ReplicaGroupOptions group_options(const ServerOptions& options);
-
   std::shared_ptr<ModelRegistry> registry_;
   obs::MetricsRegistry metrics_;
   ReplicaGroup group_;  ///< last member: shut down (joined) first

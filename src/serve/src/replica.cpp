@@ -1,5 +1,6 @@
 #include "dcnas/serve/replica.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <exception>
 #include <functional>
@@ -54,7 +55,7 @@ Replica::Replica(std::shared_ptr<ModelRegistry> registry,
     : registry_(std::move(registry)),
       metrics_(metrics),
       batcher_(policy),
-      pool_(num_workers == 0 ? 1 : num_workers) {
+      pool_(num_workers) {
   DCNAS_CHECK(registry_ != nullptr, "Replica requires a ModelRegistry");
   DCNAS_CHECK(metrics_ != nullptr, "Replica requires a MetricsRegistry");
   for (std::size_t i = 0; i < pool_.size(); ++i) {
@@ -144,14 +145,16 @@ void Replica::handle_batch(Batch&& batch) noexcept {
 }
 
 ReplicaGroup::ReplicaGroup(std::shared_ptr<ModelRegistry> registry,
-                           const ReplicaGroupOptions& options,
+                           std::size_t num_replicas,
+                           std::size_t workers_per_replica,
+                           const BatchPolicy& policy,
                            obs::MetricsRegistry* metrics) {
-  DCNAS_CHECK(options.num_replicas >= 1,
-              "ReplicaGroup needs at least one replica");
-  replicas_.reserve(options.num_replicas);
-  for (std::size_t i = 0; i < options.num_replicas; ++i) {
+  num_replicas = std::max<std::size_t>(num_replicas, 1);
+  workers_per_replica = std::max<std::size_t>(workers_per_replica, 1);
+  replicas_.reserve(num_replicas);
+  for (std::size_t i = 0; i < num_replicas; ++i) {
     replicas_.push_back(std::make_unique<Replica>(
-        registry, options.batch, options.workers_per_replica, metrics));
+        registry, policy, workers_per_replica, metrics));
   }
 }
 

@@ -2,17 +2,10 @@
 
 namespace dcnas::serve {
 
-ReplicaGroupOptions Server::group_options(const ServerOptions& options) {
-  ReplicaGroupOptions g;
-  g.num_replicas = options.num_replicas == 0 ? 1 : options.num_replicas;
-  g.workers_per_replica = options.num_workers == 0 ? 1 : options.num_workers;
-  g.batch = options.batch;
-  return g;
-}
-
 Server::Server(std::shared_ptr<ModelRegistry> registry, ServerOptions options)
     : registry_(std::move(registry)),
-      group_(registry_, group_options(options), &metrics_) {
+      group_(registry_, options.num_replicas, options.num_workers,
+             options.batch, &metrics_) {
   DCNAS_CHECK(registry_ != nullptr, "Server requires a ModelRegistry");
 }
 

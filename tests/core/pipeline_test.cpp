@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+
 namespace dcnas::core {
 namespace {
 
@@ -145,6 +148,30 @@ TEST_F(PipelineTest, SweepIsDeterministic) {
   const nas::Experiment serial(pipe2.evaluator(), latency::NnMeter::shared());
   EXPECT_EQ(again.trials.to_csv().to_string(),
             serial.run_all(subset).to_csv().to_string());
+}
+
+// Two forked worker processes sharing one trial store assemble the same
+// trials CSV and Pareto front as the in-process sweep over the same points.
+TEST(StoreSweepTest, TwoWorkerProcessesMatchSerialSweep) {
+  nas::SearchSpaceSpec spec = nas::SearchSpaceSpec::paper();
+  spec.channels = {5};
+  spec.batches = {8, 16};
+  PipelineOptions options;
+  options.scheduler.fsync_store = false;
+  const HwNasPipeline pipeline(options);
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "dcnas_store_sweep_test")
+          .string();
+  std::filesystem::remove_all(dir);
+
+  const SweepResult forked = pipeline.run_store_sweep(spec, dir, 2);
+  std::filesystem::remove_all(dir);
+  const SweepResult serial = pipeline.run_sweep(spec.enumerate());
+  ASSERT_EQ(forked.trials.size(), 576u);
+  EXPECT_EQ(forked.trials.to_csv().to_string(),
+            serial.trials.to_csv().to_string());
+  EXPECT_FALSE(forked.front_indices.empty());
+  EXPECT_EQ(forked.front_indices, serial.front_indices);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dcnas/common/stats.hpp"
+#include "dcnas/nas/scheduler.hpp"
 
 namespace dcnas::nas {
 namespace {
@@ -112,6 +113,36 @@ TEST_F(TrainingEvaluatorTest, RejectsBadOptions) {
   opt.folds = 2;
   opt.epochs = 0;
   EXPECT_THROW(TrainingEvaluator(*ds5_, *ds7_, opt), InvalidArgument);
+}
+
+// Real training through the parallel scheduler: the database must be the
+// serial reference's byte for byte at every thread count, so the fold
+// fan-out and the GEMM kernels under it stay deterministic.
+TEST(SchedulerTest, TrainingEvaluatorParityAcrossThreadCounts) {
+  const geodata::DrainageDataset ds5 = tiny_dataset(5);
+  const geodata::DrainageDataset ds7 = tiny_dataset(7);
+  TrainingEvaluator::Options opt;
+  opt.folds = 2;
+  opt.epochs = 1;
+  TrainingEvaluator eval(ds5, ds7, opt);
+  const Experiment exp(eval, latency::NnMeter::shared());
+  // Both channel datasets and two batch sizes. Two configs keep the test
+  // well inside the ctest timeout under TSan (about 300 s on 4 vCPU).
+  std::vector<TrialConfig> configs = {TrialConfig::baseline(5, 8),
+                                      TrialConfig::baseline(7, 16)};
+  for (TrialConfig& cfg : configs) {
+    cfg.initial_output_feature = 32;
+    cfg.kernel_size = 3;
+    cfg.padding = 1;
+  }
+  const std::string serial = exp.run_all(configs).to_csv().to_string();
+  for (std::size_t threads : {2u, 4u}) {
+    SchedulerOptions sopt;
+    sopt.threads = threads;
+    TrialScheduler scheduler(exp, sopt);
+    EXPECT_EQ(scheduler.run(configs).to_csv().to_string(), serial)
+        << "thread count " << threads;
+  }
 }
 
 }  // namespace

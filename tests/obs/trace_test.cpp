@@ -3,54 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
+#include <cstdint>
 #include <map>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
-// Binary-wide allocation counter so DisabledSpansDoNotAllocate can assert
-// the disabled record path is allocation-free (constraint #1 in trace.hpp).
-namespace {
-std::atomic<std::int64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-// The nothrow forms must be replaced too (libstdc++'s stable_sort buffer
-// uses them): otherwise the runtime's operator new allocates a block that the
-// deletes below release through free(), which ASan reports as an
-// alloc-dealloc mismatch.
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+// Operator-new calls so far in this binary (alloc_counter.cpp), so
+// DisabledSpansDoNotAllocate can assert the disabled record path is
+// allocation-free (constraint #1 in trace.hpp).
+std::int64_t test_allocation_count();
 
 namespace dcnas::obs {
 namespace {
@@ -75,12 +37,12 @@ TEST_F(TraceTest, DisabledSpansRecordNothing) {
 
 TEST_F(TraceTest, DisabledSpansDoNotAllocate) {
   ASSERT_FALSE(TraceRecorder::enabled());
-  const std::int64_t before = g_allocations.load();
+  const std::int64_t before = test_allocation_count();
   for (int i = 0; i < 1000; ++i) {
     Span s("test", "hot.path.span");
     s.arg("iteration", static_cast<std::int64_t>(i));
   }
-  EXPECT_EQ(g_allocations.load(), before);
+  EXPECT_EQ(test_allocation_count(), before);
 }
 
 TEST_F(TraceTest, RecordsNestedSpansWithDepth) {

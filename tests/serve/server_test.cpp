@@ -100,6 +100,27 @@ TEST(ServerTest, ServedOutputsAgreeWithGraphOracle) {
   EXPECT_EQ(testing::error_count(server.metrics(), "m"), 0);
 }
 
+// A zero worker or replica count serves as one: the group still has a
+// replica to route to and a worker to drain it.
+TEST(ServerTest, ZeroWorkersAndReplicasServeAsOne) {
+  auto registry = make_registry();
+  const ModelSnapshot snap = registry->snapshot("m");
+  ServerOptions o = options(0, 1, ms(0));
+  o.num_replicas = 0;
+  Server server(registry, o);
+  EXPECT_EQ(server.replicas().size(), 1u);
+
+  Rng rng(9);
+  const Tensor input = testing::make_image(rng);
+  const Tensor want = snap.plan->run(input);
+  const Tensor got = server.submit("m", input).get();
+  ASSERT_TRUE(got.same_shape(want));
+  for (std::int64_t j = 0; j < want.numel(); ++j) {
+    ASSERT_EQ(got[j], want[j]) << "element " << j;
+  }
+  EXPECT_EQ(testing::request_count(server.metrics(), "m"), 1);
+}
+
 TEST(ServerTest, UnknownModelSurfacesErrorOnFuture) {
   Server server(make_registry(), options(1, 1, ms(0)));
   Rng rng(5);

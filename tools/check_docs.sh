@@ -24,7 +24,11 @@
 #   6. every backticked `<Name>Options::<field>` (or `<Name>Options.<field>`)
 #      in README, DESIGN, OBSERVABILITY, QUANTIZATION and EXPERIMENTS names
 #      a member declared inside `struct <Name>Options { ... }` in a header
-#      under src/*/include (catches docs that still cite a deleted option).
+#      under src/*/include (catches docs that still cite a deleted option);
+#   7. bench records and binaries cited in those same docs exist: every
+#      BENCH_<name>.json token is a file at the repo root, and every
+#      backticked `bench_<name>` has a bench/bench_<name>.cpp (catches docs
+#      that still cite a retired bench or a record that is not checked in).
 #
 # Usage: check_docs.sh [repo-root]   (defaults to the script's parent dir)
 set -u
@@ -155,8 +159,18 @@ while read -r tok; do
 done < <(grep -ohE '`[A-Z][A-Za-z0-9]*Options(::|\.)[A-Za-z_][A-Za-z0-9_]*' \
            $option_docs 2>/dev/null | tr -d '`' | sort -u)
 
+# --- 7. cited bench records and bench binaries exist -------------------
+# shellcheck disable=SC2086
+for rec in $(grep -ohE 'BENCH_[A-Za-z0-9_]+\.json' $option_docs | sort -u); do
+  [ -f "$rec" ] || fail "docs cite $rec, which is not checked in at the repo root"
+done
+# shellcheck disable=SC2086
+for bin in $(grep -ohE '`bench_[A-Za-z0-9_]+`' $option_docs | tr -d '`' | sort -u); do
+  [ -f "bench/$bin.cpp" ] || fail "docs cite \`$bin\`, which has no bench/$bin.cpp"
+done
+
 if [ "$failures" -ne 0 ]; then
   echo "check_docs: $failures problem(s) found" >&2
   exit 1
 fi
-echo "check_docs: OK (links resolve, subsystems documented, rule ids in sync, perf numbers backed by BENCH_*.json, obs names in sync, option fields declared)"
+echo "check_docs: OK (links resolve, subsystems documented, rule ids in sync, perf numbers backed by BENCH_*.json, obs names in sync, option fields declared, cited benches exist)"
