@@ -128,6 +128,11 @@ class KernelBudgetScope {
   std::size_t previous_;
 };
 
+/// How many threads a parallel_for* call issued from the calling thread
+/// fans out over: the global pool size capped by the kernel budget, and 1
+/// inside a global-pool worker. Kernels use it to shape their task grids.
+std::int64_t parallel_width();
+
 /// Runs fn(i) for i in [begin, end) potentially in parallel, blocking until
 /// all iterations finish. Iterations must be independent. Work is split into
 /// contiguous chunks (~4 per worker) to amortize scheduling. The first

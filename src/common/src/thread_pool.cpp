@@ -119,19 +119,24 @@ KernelBudgetScope::~KernelBudgetScope() { t_kernel_budget = previous_; }
 
 std::size_t KernelBudgetScope::current() { return t_kernel_budget; }
 
+std::int64_t parallel_width() {
+  // The pool size capped by the caller's kernel budget. Global-pool workers
+  // always run inline regardless of budget (hard deadlock-avoidance rule);
+  // other pools' workers default to inline (budget 1) unless a
+  // KernelBudgetScope raised their budget.
+  const ThreadPool& pool = ThreadPool::global();
+  if (pool.in_worker()) return 1;
+  return static_cast<std::int64_t>(
+      std::min<std::size_t>(pool.size(), KernelBudgetScope::current()));
+}
+
 void parallel_for_chunked(
     std::int64_t begin, std::int64_t end,
     const std::function<void(std::int64_t, std::int64_t)>& fn) {
   const std::int64_t n = end - begin;
   if (n <= 0) return;
   ThreadPool& pool = ThreadPool::global();
-  // Fan-out width: the pool size capped by the caller's kernel budget.
-  // Global-pool workers always run inline regardless of budget (hard
-  // deadlock-avoidance rule); other pools' workers default to inline
-  // (budget 1) unless a KernelBudgetScope raised their budget.
-  std::int64_t width = static_cast<std::int64_t>(
-      std::min<std::size_t>(pool.size(), KernelBudgetScope::current()));
-  if (pool.in_worker()) width = 1;
+  const std::int64_t width = parallel_width();
   if (width <= 1 || n == 1) {
     fn(begin, end);
     return;

@@ -153,9 +153,13 @@ std::map<graph::KernelKind, RandomForest> read_forests(Cursor& c) {
 std::vector<unsigned char> serialize_predictor(
     const LatencyPredictor& predictor) {
   DCNAS_CHECK(predictor.trained(), "cannot serialize an untrained predictor");
-  std::vector<unsigned char> out;
-  out.insert(out.end(), kMagic, kMagic + 4);
-  put_u32(out, kVersion);
+  // Magic and version in one fixed header: GCC 12 misreads appends to a
+  // vector it can see is tiny as out-of-bounds writes.
+  unsigned char header[8];
+  const std::uint32_t version = kVersion;
+  std::memcpy(header, kMagic, 4);
+  std::memcpy(header + 4, &version, 4);
+  std::vector<unsigned char> out(header, header + sizeof header);
   put_device(out, predictor.device());
   put_forests(out, predictor.forests());
   put_forests(out, predictor.int8_forests());  // v2 block (may be empty)

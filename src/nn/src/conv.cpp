@@ -39,7 +39,7 @@ Tensor Conv2d::forward(const Tensor& input) {
               "Conv2d channel mismatch: got " + std::to_string(input.dim(1)) +
                   ", expected " + std::to_string(in_channels_));
   const std::int64_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const Im2colSpec spec{in_channels_, h, w, kernel_, stride_, padding_};
+  const Im2colSpec spec{in_channels_, h, w, kernel_, stride_, padding_, n};
   const std::int64_t oh = spec.out_h();
   const std::int64_t ow = spec.out_w();
   const std::int64_t col_cols = oh * ow;
@@ -47,22 +47,18 @@ Tensor Conv2d::forward(const Tensor& input) {
   if (training_) cached_input_ = input;
   Tensor output({n, out_channels_, oh, ow});
 
-  parallel_for_chunked(0, n, [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t s = lo; s < hi; ++s) {
-      const float* im = input.data() + s * in_channels_ * h * w;
-      float* out = output.data() + s * out_channels_ * col_cols;
-      // Fused path: B panels are packed straight from the image inside the
-      // GEMM driver, so the CKK x OHW column matrix is never materialized.
-      gemm_im2col(out_channels_, 1.0f, weight_.data(), im, spec, 0.0f, out);
-      if (has_bias_) {
-        for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
-          const float b = bias_[oc];
-          float* row = out + oc * col_cols;
-          for (std::int64_t i = 0; i < col_cols; ++i) row[i] += b;
-        }
-      }
+  // One fused GEMM over the whole batch (N = n·OH·OW): B panels are packed
+  // straight from the images inside the GEMM driver, so the column matrix
+  // is never materialized, and the driver fans out over its own tiles.
+  gemm_im2col(out_channels_, 1.0f, weight_.data(), input.data(), spec, 0.0f,
+              output.data());
+  if (has_bias_) {
+    for (std::int64_t r = 0; r < n * out_channels_; ++r) {
+      const float b = bias_[r % out_channels_];
+      float* row = output.data() + r * col_cols;
+      for (std::int64_t i = 0; i < col_cols; ++i) row[i] += b;
     }
-  });
+  }
   return output;
 }
 

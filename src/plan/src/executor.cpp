@@ -36,12 +36,25 @@ struct PlanMetrics {
   }
 };
 
-/// Bias + optional ReLU epilogue over one sample's (OC, OH·OW) block.
-void conv_epilogue(float* o, std::int64_t oc, std::int64_t hw,
-                   const float* bias, bool relu) {
-  for (std::int64_t c = 0; c < oc; ++c) {
-    const float b = bias ? bias[c] : 0.0f;
-    float* row = o + c * hw;
+/// The batched im2col geometry of a conv step's input.
+Im2colSpec conv_spec(const PlanStep& step, std::int64_t batch) {
+  Im2colSpec spec;
+  spec.channels = step.in_shape.c;
+  spec.height = step.in_shape.h;
+  spec.width = step.in_shape.w;
+  spec.kernel = step.attrs.kernel;
+  spec.stride = step.attrs.stride;
+  spec.padding = step.attrs.padding;
+  spec.batch = batch;
+  return spec;
+}
+
+/// Bias + optional ReLU epilogue over a batch's (B, OC, OH·OW) output.
+void conv_epilogue(float* o, std::int64_t batch, std::int64_t oc,
+                   std::int64_t hw, const float* bias, bool relu) {
+  for (std::int64_t r = 0; r < batch * oc; ++r) {
+    const float b = bias ? bias[r % oc] : 0.0f;
+    float* row = o + r * hw;
     if (relu) {
       for (std::int64_t j = 0; j < hw; ++j) {
         row[j] = std::max(row[j] + b, 0.0f);
@@ -113,7 +126,6 @@ void PlanExecutor::release_arena(std::vector<float>&& buffer) const {
 void PlanExecutor::run_step(const PlanStep& step, const float* in0,
                             const float* in1, float* out,
                             std::int64_t batch) const {
-  const std::int64_t in_numel = step.in_shape.numel();
   const std::int64_t out_numel = step.out_shape.numel();
   switch (step.kind) {
     case KernelKind::kConv:
@@ -124,24 +136,14 @@ void PlanExecutor::run_step(const PlanStep& step, const float* in0,
         run_conv_s8(step, in0, out, batch);
         return;
       }
-      Im2colSpec spec;
-      spec.channels = step.in_shape.c;
-      spec.height = step.in_shape.h;
-      spec.width = step.in_shape.w;
-      spec.kernel = step.attrs.kernel;
-      spec.stride = step.attrs.stride;
-      spec.padding = step.attrs.padding;
       const std::int64_t oc = step.out_shape.c;
       const std::int64_t hw = step.out_shape.h * step.out_shape.w;
       const bool relu = step.kind == KernelKind::kConvRelu ||
                         step.kind == KernelKind::kConvBnRelu;
       const float* bias = step.bias ? step.bias->data() : nullptr;
-      for (std::int64_t s = 0; s < batch; ++s) {
-        float* o = out + s * out_numel;
-        gemm_im2col(oc, 1.0f, step.weight.data(), in0 + s * in_numel, spec,
-                    0.0f, o);
-        if (bias || relu) conv_epilogue(o, oc, hw, bias, relu);
-      }
+      gemm_im2col(oc, 1.0f, step.weight.data(), in0, conv_spec(step, batch),
+                  0.0f, out);
+      if (bias || relu) conv_epilogue(out, batch, oc, hw, bias, relu);
       return;
     }
     case KernelKind::kMaxPool:
@@ -211,48 +213,24 @@ void PlanExecutor::run_step(const PlanStep& step, const float* in0,
 
 void PlanExecutor::run_conv_s8(const PlanStep& step, const float* in0,
                                float* out, std::int64_t batch) const {
-  // Quantized conv: the input activations are quantized on the fly with the
-  // calibrated per-tensor scale, the int8 GEMM accumulates exactly in
+  // Quantized conv: the batch's input activations are quantized once with
+  // the calibrated per-tensor scale, the int8 GEMM accumulates exactly in
   // int32, and the fused epilogue requantizes straight to fp32 with the
-  // per-channel scales (bias and ReLU folded in).
+  // per-channel scales (bias and ReLU folded in). A 1x1/s1/p0 conv is just
+  // the im2col case whose gather is the identity.
   thread_local std::vector<std::int8_t> t_q_in;
-  const std::int64_t in_numel = step.in_shape.numel();
-  const std::int64_t out_numel = step.out_shape.numel();
-  if (t_q_in.size() < static_cast<std::size_t>(in_numel)) {
-    t_q_in.resize(static_cast<std::size_t>(in_numel));
+  const std::int64_t in_total = batch * step.in_shape.numel();
+  if (t_q_in.size() < static_cast<std::size_t>(in_total)) {
+    t_q_in.resize(static_cast<std::size_t>(in_total));
   }
-  Im2colSpec spec;
-  spec.channels = step.in_shape.c;
-  spec.height = step.in_shape.h;
-  spec.width = step.in_shape.w;
-  spec.kernel = step.attrs.kernel;
-  spec.stride = step.attrs.stride;
-  spec.padding = step.attrs.padding;
   QuantEpilogue epi;
   epi.scale = step.requant_scale.data();
   epi.bias = step.bias ? step.bias->data() : nullptr;
   epi.relu = step.kind == KernelKind::kConvRelu ||
              step.kind == KernelKind::kConvBnRelu;
-  const std::int64_t oc = step.out_shape.c;
-  // 1x1/s1/p0 convolutions (projection shortcuts, and every 1x1 stem in the
-  // wide lattice) have an identity im2col: the quantized input planes
-  // (C x H·W) already *are* the B matrix. Skip the gather and hand the
-  // planes straight to the packed GEMM — bitwise-identical output, since
-  // both paths accumulate the same int32 products.
-  const bool direct = step.attrs.kernel == 1 && step.attrs.stride == 1 &&
-                      step.attrs.padding == 0;
-  const std::int64_t hw = step.out_shape.h * step.out_shape.w;
-  for (std::int64_t s = 0; s < batch; ++s) {
-    quant::quantize_activations(in0 + s * in_numel, in_numel, step.in_scale,
-                                t_q_in.data());
-    if (direct) {
-      gemm_s8(oc, hw, step.in_shape.c, step.weight_q.data(), t_q_in.data(),
-              epi, out + s * out_numel);
-    } else {
-      gemm_s8_im2col(oc, step.weight_q.data(), t_q_in.data(), spec, epi,
-                     out + s * out_numel);
-    }
-  }
+  quant::quantize_activations(in0, in_total, step.in_scale, t_q_in.data());
+  gemm_s8_im2col(step.out_shape.c, step.weight_q.data(), t_q_in.data(),
+                 conv_spec(step, batch), epi, out);
 }
 
 Tensor PlanExecutor::run(const Tensor& input) const {

@@ -39,7 +39,8 @@ void gemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 void gemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
              const float* a_t, const float* b, float beta, float* c);
 
-/// Geometry of a virtual im2col operand for the fused convolution GEMM.
+/// Geometry of a virtual im2col operand for the fused convolution GEMM:
+/// `batch` images of `channels` x `height` x `width`, stored NCHW.
 struct Im2colSpec {
   std::int64_t channels = 0;
   std::int64_t height = 0;
@@ -47,15 +48,21 @@ struct Im2colSpec {
   std::int64_t kernel = 0;
   std::int64_t stride = 1;
   std::int64_t padding = 0;
+  std::int64_t batch = 1;
 
   std::int64_t out_h() const;
   std::int64_t out_w() const;
 };
 
-/// Fused convolution forward: C(M x OH*OW) = alpha * A(M x C*K*K) *
-/// im2col(im) + beta * C, where the column matrix is never materialized —
-/// B slivers are packed straight from the CHW image (zero padding
-/// synthesized in place). \p im points at one sample's C x H x W planes.
+/// Fused convolution forward over a whole batch, as one GEMM with
+/// N = B·OH·OW: C = alpha * A(M x C*K*K) * im2col(im) + beta * C, where
+/// the column matrix is never materialized — B slivers are packed straight
+/// from the NCHW images (column j gathers from image j / (OH·OW); zero
+/// padding synthesized in place). \p im points at B x C x H x W planes and
+/// \p c at the B x M x OH x OW output. At alpha = 1, image b's output is
+/// bitwise the same as a batch-1 call on image b alone: each output
+/// element reduces over the same K-blocks in the same order whatever the
+/// batch.
 void gemm_im2col(std::int64_t m, float alpha, const float* a, const float* im,
                  const Im2colSpec& spec, float beta, float* c);
 
