@@ -4,10 +4,11 @@
 ///
 /// Besides the google-benchmark suite, this binary self-times the packed
 /// register-blocked GEMM against a verbatim copy of the seed scalar kernel
-/// and records the trajectory in BENCH_kernels.json (host line, GFLOP/s per
-/// shape, the serving model's conv shapes lowered per sample and batched,
-/// conv forward/backward microseconds). CI uploads that file as an
-/// artifact, so every commit carries its kernel-perf before/after.
+/// and records the trajectory in BENCH_kernels.json (host line, the cost of
+/// an empty pool round, GFLOP/s per shape, the serving model's conv shapes
+/// lowered per sample and batched, conv forward/backward microseconds). CI
+/// uploads that file as an artifact, so every commit carries its
+/// kernel-perf before/after.
 
 #include <algorithm>
 #include <chrono>
@@ -308,9 +309,10 @@ constexpr ConvStage kServingConvs[] = {
 
 /// Where batching's gain comes from: each serving conv shape, best-of-3
 /// microseconds per call. At batch 1 there is one lowering (one fused GEMM
-/// with N = OH·OW), so one time per shape. At batch 32 the shape is
-/// lowered per sample (32 such GEMMs) and batched (one GEMM with
-/// N = 32·OH·OW); both compute the same bits.
+/// with N = OH·OW, its weights packed once ahead, as a compiled plan holds
+/// them), so one time per shape. At batch 32 the shape is lowered per
+/// sample (32 such GEMMs) and batched (one GEMM with N = 32·OH·OW); both
+/// compute the same bits.
 void write_conv_stage_rows(std::FILE* f) {
   constexpr std::int64_t kBatch = 32;
   std::fprintf(f, "  \"conv_stages_us\": [\n");
@@ -329,6 +331,10 @@ void write_conv_stage_rows(std::FILE* f) {
     std::vector<float> c(static_cast<std::size_t>(kBatch * out_numel));
     for (auto& v : w) v = static_cast<float>(rng.uniform(-1, 1));
     for (auto& v : im) v = static_cast<float>(rng.uniform(-1, 1));
+    const std::int64_t k = cs.channels * cs.kernel * cs.kernel;
+    std::vector<float> packed(
+        static_cast<std::size_t>(packed_gemm_a_size(cs.out_ch, k)));
+    pack_gemm_a_rows(cs.out_ch, k, 0, cs.out_ch, w.data(), packed.data());
     const auto per_sample = [&](std::int64_t batch) {
       for (std::int64_t s = 0; s < batch; ++s) {
         gemm_im2col(cs.out_ch, 1.0f, w.data(), im.data() + s * in_numel, one,
@@ -336,7 +342,13 @@ void write_conv_stage_rows(std::FILE* f) {
       }
       benchmark::DoNotOptimize(c.data());
     };
-    const double b1_us = time_us([&] { per_sample(1); }, 400);
+    const double b1_us = time_us(
+        [&] {
+          gemm_im2col_packed(cs.out_ch, 1.0f, packed.data(), im.data(), one,
+                             0.0f, c.data());
+          benchmark::DoNotOptimize(c.data());
+        },
+        400);
     const double per_sample_us = time_us([&] { per_sample(kBatch); }, 40);
     const double batched_us = time_us(
         [&] {
@@ -367,6 +379,30 @@ void write_conv_stage_rows(std::FILE* f) {
   std::fprintf(f, "\n  ],\n");
 }
 
+/// What one parallel_for_chunked round costs with nothing to do: the
+/// fork-join overhead every pool-parallel kernel call pays at least once.
+void write_pool_round_row(std::FILE* f) {
+  std::int64_t sink = 0;
+  const auto round_us = [&](std::int64_t chunks) {
+    return time_us(
+        [&] {
+          parallel_for_chunked(0, chunks, [&sink](std::int64_t lo,
+                                                  std::int64_t) {
+            benchmark::DoNotOptimize(sink + lo);
+          });
+        },
+        20000);
+  };
+  const double four = round_us(4);
+  const double sixteen = round_us(16);
+  std::printf("pool round (empty): 4 chunks %.2f us, 16 chunks %.2f us\n",
+              four, sixteen);
+  std::fprintf(f,
+               "  \"pool_round_us\": {\"chunks_4\": %.2f, "
+               "\"chunks_16\": %.2f},\n",
+               four, sixteen);
+}
+
 void write_bench_kernels_json() {
   std::FILE* f = std::fopen("BENCH_kernels.json", "w");
   if (!f) {
@@ -377,6 +413,7 @@ void write_bench_kernels_json() {
                "{\n  \"host\": {\"host_cores\": %zu, "
                "\"gemm_s8_kernel\": \"%s\"},\n",
                ThreadPool::global().size(), gemm_s8_kernel_name());
+  write_pool_round_row(f);
   write_conv_stage_rows(f);
   std::fprintf(f, "  \"gemm\": [\n");
   const std::int64_t shapes[] = {64, 128, 256};

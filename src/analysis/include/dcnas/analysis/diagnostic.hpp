@@ -64,6 +64,7 @@ inline constexpr const char* kPlanWiring = "plan.wiring";
 inline constexpr const char* kPlanOutput = "plan.output";
 inline constexpr const char* kPlanShape = "plan.shape";
 inline constexpr const char* kPlanWeightShape = "plan.weight-shape";
+inline constexpr const char* kPlanWeightLayout = "plan.weight-layout";
 inline constexpr const char* kPlanFoldError = "plan.fold-error";
 inline constexpr const char* kPlanQuant = "plan.quant";
 }  // namespace rules

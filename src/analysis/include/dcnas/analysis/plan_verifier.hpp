@@ -30,8 +30,11 @@
 ///                     re-derived from the graph edges + provenance tails,
 ///                     output slot/shape, per-step shapes and slot sizes
 ///                     against the source annotations.
-///   plan-folding    — kPlanWeightShape, kPlanFoldError: bound tensor
-///                     dimensions, and a replay of BN weight folding in
+///   plan-folding    — kPlanWeightShape, kPlanWeightLayout, kPlanFoldError:
+///                     bound tensor dimensions; conv weights must be a
+///                     packed payload (gemm.hpp pack_gemm_a_rows) of the
+///                     source geometry's size whose pad lanes are zero; and a
+///                     replay of BN weight folding, on the unpacked rows, in
 ///                     outward-rounded interval arithmetic (interval.hpp)
 ///                     that bounds the legitimate compile-time rounding
 ///                     error — verbatim-copied weights must match bitwise.

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "dcnas/analysis/interval.hpp"
 #include "dcnas/analysis/passes.hpp"
@@ -15,6 +18,7 @@
 #include "dcnas/obs/trace.hpp"
 #include "dcnas/plan/compiler.hpp"
 #include "dcnas/quant/quantize.hpp"
+#include "dcnas/tensor/gemm.hpp"
 
 namespace dcnas::analysis {
 
@@ -745,13 +749,30 @@ class PlanFoldingPass : public PlanVerifyPass {
     if (cn.kind != OpKind::kConv) return;  // provenance pass reports
     const std::int64_t oc = cn.out_shape.c;
     const std::int64_t row = cn.in_shape.c * cn.attrs.kernel * cn.attrs.kernel;
-    if (step.weight.numel() != oc * row) {
+    const std::int64_t packed = packed_gemm_a_size(oc, row);
+    if (step.weight.numel() != packed) {
       out.push_back(step_diag(
-          rules::kPlanWeightShape, t, plan,
-          "conv weight holds " + std::to_string(step.weight.numel()) +
-              " values but the source geometry implies " +
-              std::to_string(oc) + "x" + std::to_string(row)));
+          rules::kPlanWeightLayout, t, plan,
+          "packed conv weight holds " + std::to_string(step.weight.numel()) +
+              " values but the source geometry " + std::to_string(oc) + "x" +
+              std::to_string(row) + " packs to " + std::to_string(packed)));
       return;
+    }
+    // Rows oc .. up to the next whole micro-panel are pad lanes: zero.
+    for (std::int64_t c = oc; c * row < packed; ++c) {
+      for (std::int64_t j = 0; j < row; ++j) {
+        const std::int64_t at = packed_gemm_a_index(oc, row, c, j);
+        std::uint32_t bits = 0;
+        std::memcpy(&bits, step.weight.data() + at, sizeof(bits));
+        if (bits != 0) {
+          out.push_back(step_diag(
+              rules::kPlanWeightLayout, t, plan,
+              "packed conv weight[" + std::to_string(at) + "] = " +
+                  std::to_string(step.weight[at]) +
+                  " is a pad lane but is not zero"));
+          return;
+        }
+      }
     }
     const bool fused_bn = step.kind == KernelKind::kConvBn ||
                           step.kind == KernelKind::kConvBnRelu;
@@ -790,8 +811,25 @@ class PlanFoldingPass : public PlanVerifyPass {
     if (!replay_fold) {
       // Verbatim copy (plain conv, or a pre-folded executor whose identity
       // BN contributed nothing): bitwise equality, no tolerance.
-      check_verbatim("conv weight", step.weight, cs.conv_weight, t, plan,
-                     out);
+      std::int64_t first = -1, bad = 0;
+      float got = 0.0f, want = 0.0f;
+      PackedGemmARows rows(oc, row, step.weight.data());
+      for (std::int64_t c = 0; c < oc; ++c) {
+        const float* w = rows.row(c);
+        const float* src = cs.conv_weight.data() + c * row;
+        for (std::int64_t j = 0; j < row; ++j) {
+          if (w[j] != src[j]) {
+            if (first < 0) {
+              first = c * row + j;
+              got = w[j];
+              want = src[j];
+            }
+            ++bad;
+          }
+        }
+      }
+      report_values(rules::kPlanFoldError, t, plan, "conv weight", first, bad,
+                    got, want, want, out);
       if (fused_bn) {
         // Identity-BN path: the compiler still materializes a bias —
         // the source bias when present, zeros otherwise.
@@ -817,6 +855,7 @@ class PlanFoldingPass : public PlanVerifyPass {
                               "inconsistent; cannot replay folding"));
       return;
     }
+    PackedGemmARows rows(oc, row, step.weight.data());
     std::int64_t w_first = -1, w_bad = 0, b_first = -1, b_bad = 0;
     float w_got = 0.0f, b_got = 0.0f;
     Interval w_want{0.0f, 0.0f}, b_want{0.0f, 0.0f};
@@ -833,11 +872,12 @@ class PlanFoldingPass : public PlanVerifyPass {
           idiv(Interval::point(bs.bn_gamma[c]),
                isqrt(iadd(Interval::point(bs.bn_var[c]),
                           Interval::point(eps))));
+      const float* w = rows.row(c);
+      const float* src = cs.conv_weight.data() + c * row;
       for (std::int64_t j = 0; j < row; ++j) {
-        const Interval want =
-            imul(Interval::point(cs.conv_weight[c * row + j]), scale)
-                .widened(kFoldRel, kFoldAbs);
-        const float got = step.weight[c * row + j];
+        const Interval want = imul(Interval::point(src[j]), scale)
+                                  .widened(kFoldRel, kFoldAbs);
+        const float got = w[j];
         if (!want.contains(got)) {
           if (w_first < 0) {
             w_first = c * row + j;
@@ -1043,8 +1083,11 @@ class PlanQuantPass : public PlanVerifyPass {
                               std::vector<Diagnostic>& out) {
     const PlanStep& step = plan.steps[static_cast<std::size_t>(t)];
     const std::int64_t oc = step.out_shape.c;
-    const std::int64_t numel = step.weight.numel();
-    if (oc <= 0 || numel <= 0 || numel % oc != 0) {
+    const std::int64_t row =
+        step.in_shape.c * step.attrs.kernel * step.attrs.kernel;
+    const std::int64_t numel = oc * row;
+    if (oc <= 0 || row <= 0 ||
+        step.weight.numel() != packed_gemm_a_size(oc, row)) {
       // The folding/wiring passes own weight-shape defects; without a
       // consistent (oc, row) factorization the replay is undefined.
       out.push_back(step_diag(rules::kPlanQuant, t, plan,
@@ -1062,7 +1105,7 @@ class PlanQuantPass : public PlanVerifyPass {
               ", scale=" + std::to_string(step.weight_scale.size()) +
               ", requant=" + std::to_string(step.requant_scale.size()) +
               ") do not match " + std::to_string(oc) + " channels x " +
-              std::to_string(numel / oc) + " weights"));
+              std::to_string(row) + " weights"));
       return;
     }
     if (!(step.in_scale > 0.0f) || !std::isfinite(step.in_scale)) {
@@ -1073,15 +1116,24 @@ class PlanQuantPass : public PlanVerifyPass {
       return;
     }
 
-    // Replay the per-channel weight quantization bitwise.
-    const quant::QuantizedWeights replay =
-        quant::quantize_weights(step.weight.data(), oc, numel / oc);
+    // Replay the per-channel weight quantization bitwise, row by row.
+    PackedGemmARows rows(oc, row, step.weight.data());
+    std::vector<float> replay_scale(static_cast<std::size_t>(oc));
     std::int64_t first_q = -1, bad_q = 0;
-    for (std::int64_t j = 0; j < numel; ++j) {
-      if (replay.q[static_cast<std::size_t>(j)] !=
-          step.weight_q[static_cast<std::size_t>(j)]) {
-        if (first_q < 0) first_q = j;
-        ++bad_q;
+    int replay_first_q = 0;
+    for (std::int64_t c = 0; c < oc; ++c) {
+      const quant::QuantizedWeights q =
+          quant::quantize_weights(rows.row(c), 1, row);
+      replay_scale[static_cast<std::size_t>(c)] = q.scale[0];
+      for (std::int64_t j = 0; j < row; ++j) {
+        const std::int8_t want = q.q[static_cast<std::size_t>(j)];
+        if (want != step.weight_q[static_cast<std::size_t>(c * row + j)]) {
+          if (first_q < 0) {
+            first_q = c * row + j;
+            replay_first_q = want;
+          }
+          ++bad_q;
+        }
       }
     }
     if (bad_q > 0) {
@@ -1089,19 +1141,19 @@ class PlanQuantPass : public PlanVerifyPass {
       os << "weight_q[" << first_q << "] = "
          << static_cast<int>(step.weight_q[static_cast<std::size_t>(first_q)])
          << " but re-quantizing the retained fp32 weights yields "
-         << static_cast<int>(replay.q[static_cast<std::size_t>(first_q)]);
+         << replay_first_q;
       if (bad_q > 1) os << " (and " << (bad_q - 1) << " more)";
       out.push_back(step_diag(rules::kPlanQuant, t, plan, os.str()));
     }
     for (std::int64_t c = 0; c < oc; ++c) {
       const std::size_t ci = static_cast<std::size_t>(c);
-      if (step.weight_scale[ci] != replay.scale[ci]) {
+      if (step.weight_scale[ci] != replay_scale[ci]) {
         out.push_back(step_diag(
             rules::kPlanQuant, t, plan,
             "weight_scale[" + std::to_string(c) + "] = " +
                 std::to_string(step.weight_scale[ci]) +
                 " but the absmax replay yields " +
-                std::to_string(replay.scale[ci])));
+                std::to_string(replay_scale[ci])));
         return;  // requant composition below would cascade
       }
       const float want = step.weight_scale[ci] * step.in_scale;

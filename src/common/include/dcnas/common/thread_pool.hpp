@@ -2,11 +2,18 @@
 /// \file thread_pool.hpp
 /// \brief A lightweight work-sharing thread pool plus parallel_for helpers.
 ///
-/// dcnas targets resource-limited build/run environments (this reproduction
-/// runs on a single core), so every parallel path degrades gracefully: when
-/// the pool has one worker, parallel_for executes inline with zero
-/// synchronization overhead. The pool follows the C++ Core Guidelines advice
-/// of joining threads in the destructor (gsl::joining_thread semantics).
+/// dcnas targets resource-limited devices, so every parallel path degrades
+/// gracefully: when the pool has one worker (or the caller's kernel budget
+/// is 1), parallel_for executes inline with zero synchronization overhead.
+/// The pool follows the C++ Core Guidelines advice of joining threads in the
+/// destructor (gsl::joining_thread semantics).
+///
+/// parallel_for* is a fork-join round, not a batch of queued tasks: the
+/// caller publishes one job record (on its own stack) with an atomic chunk
+/// cursor, wakes at most width − 1 helpers, and claims chunks itself. When
+/// the cursor runs out it takes back every helper slot no worker picked up,
+/// so it only ever waits for helpers already running a chunk. A round
+/// allocates nothing on the heap.
 ///
 /// Exception contract:
 ///  - The future-returning submit() delivers the task's exception through
@@ -15,7 +22,8 @@
 ///    escaping exception; the next wait_idle() rethrows it (later ones are
 ///    dropped, counted via pending_error()). Exceptions never kill workers.
 ///  - parallel_for / parallel_for_chunked rethrow the first iteration
-///    exception in the calling thread after every chunk has finished.
+///    exception in the calling thread after every chunk has finished
+///    (remaining chunks still run), whether the caller or a helper ran it.
 ///
 /// Nested-execution rule (two-level schedulers — see DESIGN.md §9):
 ///  - A parallel_for* call made from a worker of the *global* pool always
@@ -42,6 +50,37 @@
 #include <vector>
 
 namespace dcnas {
+
+template <class Sig>
+class FunctionRef;
+
+/// Non-owning reference to a callable, for parameters that are only called
+/// before the function returns. Binding one never allocates (a
+/// std::function of a lambda with more than two captures does).
+template <class R, class... Args>
+class FunctionRef<R(Args...)> {
+ public:
+  template <class F, std::enable_if_t<!std::is_same_v<std::decay_t<F>,
+                                                      FunctionRef>, int> = 0>
+  FunctionRef(F&& f)  // NOLINT(google-explicit-constructor): binds like a
+                      // std::function parameter does
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, Args... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(obj))(
+              std::forward<Args>(args)...);
+        }) {}
+
+  R operator()(Args... args) const {
+    return call_(obj_, std::forward<Args>(args)...);
+  }
+
+ private:
+  void* obj_;
+  R (*call_)(void*, Args...);
+};
+
+/// Chunk body of a fork-join round: fn(chunk_begin, chunk_end).
+using ChunkFn = FunctionRef<void(std::int64_t, std::int64_t)>;
 
 /// Fixed-size pool of worker threads executing queued tasks FIFO.
 class ThreadPool {
@@ -90,14 +129,22 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
+  struct ForkJoin;  // one parallel_for round's job record (thread_pool.cpp)
+  friend void parallel_for_chunked(std::int64_t, std::int64_t, ChunkFn);
+
   void worker_loop();
+  /// Runs \p job's chunks on the calling thread and on up to \p helpers
+  /// workers; returns once every chunk has finished.
+  void fork_join(ForkJoin& job, std::int64_t helpers);
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   mutable std::mutex mu_;
   std::condition_variable cv_task_;
   std::condition_variable cv_idle_;
+  std::condition_variable cv_join_;  ///< a round's last running helper left
   std::size_t in_flight_ = 0;
+  ForkJoin* jobs_ = nullptr;  ///< rounds with helper slots open, guarded by mu_
   std::exception_ptr first_error_;  ///< guarded by mu_
   bool stopping_ = false;
 };
@@ -135,16 +182,15 @@ std::int64_t parallel_width();
 
 /// Runs fn(i) for i in [begin, end) potentially in parallel, blocking until
 /// all iterations finish. Iterations must be independent. Work is split into
-/// contiguous chunks (~4 per worker) to amortize scheduling. The first
-/// exception thrown by an iteration is rethrown in the calling thread once
-/// every chunk has finished (remaining chunks still run).
+/// contiguous chunks (up to 4 per thread of parallel_width()) that the
+/// caller and its helpers claim from a shared cursor. The first exception
+/// thrown by an iteration is rethrown in the calling thread once every
+/// chunk has finished (remaining chunks still run).
 void parallel_for(std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& fn);
+                  FunctionRef<void(std::int64_t)> fn);
 
 /// Chunked variant: fn(chunk_begin, chunk_end) — preferred in hot loops so
 /// the callee can keep its own locals across iterations.
-void parallel_for_chunked(
-    std::int64_t begin, std::int64_t end,
-    const std::function<void(std::int64_t, std::int64_t)>& fn);
+void parallel_for_chunked(std::int64_t begin, std::int64_t end, ChunkFn fn);
 
 }  // namespace dcnas

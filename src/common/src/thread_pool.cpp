@@ -1,6 +1,7 @@
 #include "dcnas/common/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 
 #include "dcnas/common/error.hpp"
@@ -26,6 +27,39 @@ std::size_t default_budget() {
   return t_worker_pool != nullptr ? 1 : kUnlimitedBudget;
 }
 }  // namespace
+
+/// One parallel_for round, on the caller's stack. Chunk c is
+/// [begin + c·step, min(begin + (c+1)·step, end)); whoever runs a chunk
+/// claims it from `cursor`, so a chunk runs exactly once whichever thread
+/// gets it.
+struct ThreadPool::ForkJoin {
+  explicit ForkJoin(ChunkFn f) : fn(f) {}
+
+  ChunkFn fn;
+  std::int64_t begin = 0, end = 0, step = 1, chunks = 0;
+  std::atomic<std::int64_t> cursor{0};
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;  ///< written once, by whoever set `failed`
+  // Guarded by ThreadPool::mu_:
+  std::int64_t open_slots = 0;  ///< helper slots not yet taken
+  std::int64_t running = 0;     ///< helpers that took a slot, not finished
+  ForkJoin* next = nullptr;     ///< in ThreadPool::jobs_
+
+  void run_chunks() {
+    for (;;) {
+      const std::int64_t c = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return;
+      const std::int64_t lo = begin + c * step;
+      try {
+        fn(lo, std::min(lo + step, end));
+      } catch (...) {
+        if (!failed.exchange(true, std::memory_order_relaxed)) {
+          error = std::current_exception();
+        }
+      }
+    }
+  }
+};
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) {
@@ -77,16 +111,29 @@ bool ThreadPool::in_worker() const { return t_worker_pool == this; }
 
 void ThreadPool::worker_loop() {
   t_worker_pool = this;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_task_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping_ and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-      ++in_flight_;
+    cv_task_.wait(lock, [this] {
+      return stopping_ || jobs_ != nullptr || !queue_.empty();
+    });
+    if (ForkJoin* job = jobs_) {
+      // Help the newest open round; its last slot closes it.
+      if (--job->open_slots == 0) jobs_ = job->next;
+      ++job->running;
+      lock.unlock();
+      t_kernel_budget = default_budget();
+      job->run_chunks();
+      lock.lock();
+      // Once mu_ is released with `running` at zero the caller may return
+      // and free `job`, so nothing below touches it.
+      if (--job->running == 0) cv_join_.notify_all();
+      continue;
     }
+    if (queue_.empty()) return;  // stopping_ and drained
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    ++in_flight_;
+    lock.unlock();
     std::exception_ptr error;
     try {
       // Each task starts from the in-worker default budget; a task-scoped
@@ -96,13 +143,33 @@ void ThreadPool::worker_loop() {
     } catch (...) {
       error = std::current_exception();
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --in_flight_;
-      if (error && !first_error_) first_error_ = error;
-      if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
-    }
+    task = nullptr;  // release captures before reporting the task done
+    lock.lock();
+    --in_flight_;
+    if (error && !first_error_) first_error_ = error;
+    if (queue_.empty() && in_flight_ == 0) cv_idle_.notify_all();
   }
+}
+
+void ThreadPool::fork_join(ForkJoin& job, std::int64_t helpers) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    job.open_slots = helpers;
+    job.next = jobs_;
+    jobs_ = &job;
+  }
+  for (std::int64_t h = 0; h < helpers; ++h) cv_task_.notify_one();
+  job.run_chunks();
+  std::unique_lock<std::mutex> lock(mu_);
+  if (job.open_slots > 0) {
+    // Every chunk is claimed: take back the slots no worker picked up, so
+    // the caller never waits for a helper that has not started.
+    ForkJoin** link = &jobs_;
+    while (*link != &job) link = &(*link)->next;
+    *link = job.next;
+    job.open_slots = 0;
+  }
+  cv_join_.wait(lock, [&job] { return job.running == 0; });
 }
 
 ThreadPool& ThreadPool::global() {
@@ -130,61 +197,31 @@ std::int64_t parallel_width() {
       std::min<std::size_t>(pool.size(), KernelBudgetScope::current()));
 }
 
-void parallel_for_chunked(
-    std::int64_t begin, std::int64_t end,
-    const std::function<void(std::int64_t, std::int64_t)>& fn) {
+void parallel_for_chunked(std::int64_t begin, std::int64_t end, ChunkFn fn) {
   const std::int64_t n = end - begin;
   if (n <= 0) return;
-  ThreadPool& pool = ThreadPool::global();
   const std::int64_t width = parallel_width();
   if (width <= 1 || n == 1) {
     fn(begin, end);
     return;
   }
-  // Under a finite budget, one chunk per permitted thread keeps concurrent
-  // occupancy <= budget; the usual ~4 chunks/worker oversplit would let up
-  // to 4x budget workers pick up chunks at once.
-  const bool budgeted =
-      KernelBudgetScope::current() < pool.size() || t_worker_pool != nullptr;
-  const std::int64_t chunks =
-      std::min<std::int64_t>(n, budgeted ? width : width * 4);
-  const std::int64_t step = (n + chunks - 1) / chunks;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::int64_t remaining = 0;        // guarded by done_mu
-  std::exception_ptr first_error;    // guarded by done_mu
-  for (std::int64_t c = begin; c < end; c += step) ++remaining;
-  for (std::int64_t c = begin; c < end; c += step) {
-    const std::int64_t lo = c;
-    const std::int64_t hi = std::min<std::int64_t>(c + step, end);
-    pool.submit(std::function<void()>([&, lo, hi] {
-      std::exception_ptr error;
-      try {
-        fn(lo, hi);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      // Decrement and notify while holding the lock. With an atomic counter
-      // decremented outside it, the waiting thread could observe zero and
-      // return — destroying done_mu/done_cv on its stack — while this
-      // worker is still about to lock them (use-after-free under load).
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (error && !first_error) first_error = error;
-      if (--remaining == 0) done_cv.notify_all();
-    }));
+  // About 4 chunks per thread balance uneven chunks; the caller plus
+  // width - 1 helpers keep concurrent occupancy <= width (and so <= the
+  // kernel budget) however many chunks there are.
+  ThreadPool::ForkJoin job(fn);
+  job.begin = begin;
+  job.end = end;
+  job.step = (n + width * 4 - 1) / (width * 4);
+  job.chunks = (n + job.step - 1) / job.step;
+  ThreadPool::global().fork_join(job, std::min(width, job.chunks) - 1);
+  if (job.failed.load(std::memory_order_relaxed)) {
+    std::rethrow_exception(job.error);
   }
-  std::exception_ptr error;
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] { return remaining == 0; });
-    error = first_error;
-  }
-  if (error) std::rethrow_exception(error);
 }
 
 void parallel_for(std::int64_t begin, std::int64_t end,
-                  const std::function<void(std::int64_t)>& fn) {
-  parallel_for_chunked(begin, end, [&](std::int64_t lo, std::int64_t hi) {
+                  FunctionRef<void(std::int64_t)> fn) {
+  parallel_for_chunked(begin, end, [fn](std::int64_t lo, std::int64_t hi) {
     for (std::int64_t i = lo; i < hi; ++i) fn(i);
   });
 }

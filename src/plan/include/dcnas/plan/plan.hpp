@@ -49,8 +49,10 @@ struct PlanStep {
   graph::ActShape out_shape; ///< per-sample output shape
 
   /// Weights owned by the plan (deep copies — the plan outlives hot-swapped
-  /// executors). Conv steps carry (OC, IC·k·k) with BN pre-folded; Linear
-  /// steps carry (out, in).
+  /// executors). Conv steps carry their OC x IC·k·k rows, BN pre-folded,
+  /// already packed for the GEMM (pack_gemm_a_rows in tensor/gemm.hpp;
+  /// read rows back with PackedGemmARows); Linear steps carry (out, in)
+  /// row-major.
   Tensor weight;
   std::optional<Tensor> bias;
   /// Standalone BatchNorm steps (fusion refused by the legality rules) are
@@ -62,7 +64,7 @@ struct PlanStep {
   /// kInt8. `weight` keeps the BN-folded fp32 reference so PlanVerifier can
   /// re-derive the whole payload bitwise ("plan.quant").
   graph::Precision precision = graph::Precision::kFp32;
-  std::vector<std::int8_t> weight_q;  ///< quantized weights, weight.numel()
+  std::vector<std::int8_t> weight_q;  ///< quantized OC x IC·k·k rows
   std::vector<float> weight_scale;    ///< per-out-channel scales, size OC
   std::vector<float> requant_scale;   ///< weight_scale[oc] · in_scale
   float in_scale = 0.0f;              ///< calibrated per-tensor input scale

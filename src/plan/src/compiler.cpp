@@ -1,11 +1,13 @@
 #include "dcnas/plan/compiler.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <map>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "dcnas/analysis/passes.hpp"
 #include "dcnas/analysis/verifier.hpp"
@@ -14,6 +16,7 @@
 #include "dcnas/obs/trace.hpp"
 #include "dcnas/plan/executor.hpp"
 #include "dcnas/quant/quantize.hpp"
+#include "dcnas/tensor/gemm.hpp"
 
 namespace dcnas::plan {
 
@@ -60,16 +63,37 @@ bool is_conv_kind(KernelKind kind) {
          kind == KernelKind::kConvBn || kind == KernelKind::kConvBnRelu;
 }
 
-/// Bakes BN running statistics into a conv weight/bias pair:
-///   w'_oc = w_oc · γ_oc/√(σ²_oc+ε),  b'_oc = β_oc + (b_oc − μ_oc)·γ_oc/√(σ²_oc+ε)
-void fold_bn_into(Tensor& weight, Tensor& bias, const NodeState& bn_state,
-                  std::int64_t oc, std::int64_t row, float eps) {
-  for (std::int64_t c = 0; c < oc; ++c) {
-    const float inv_std = 1.0f / std::sqrt(bn_state.bn_var[c] + eps);
-    const float scale = bn_state.bn_gamma[c] * inv_std;
-    float* w_row = weight.data() + c * row;
-    for (std::int64_t j = 0; j < row; ++j) w_row[j] *= scale;
-    bias[c] = bn_state.bn_beta[c] + (bias[c] - bn_state.bn_mean[c]) * scale;
+/// Bakes BN running statistics into output channel c's weight row and bias:
+///   w'_c = w_c · γ_c/√(σ²_c+ε),  b'_c = β_c + (b_c − μ_c)·γ_c/√(σ²_c+ε)
+void fold_bn_row(float* w_row, std::int64_t row, float& bias,
+                 const NodeState& bn_state, std::int64_t c, float eps) {
+  const float inv_std = 1.0f / std::sqrt(bn_state.bn_var[c] + eps);
+  const float scale = bn_state.bn_gamma[c] * inv_std;
+  for (std::int64_t j = 0; j < row; ++j) w_row[j] *= scale;
+  bias = bn_state.bn_beta[c] + (bias - bn_state.bn_mean[c]) * scale;
+}
+
+/// Writes a conv step's (OC, IC·k·k) weights into the plan one micro-panel
+/// of output channels at a time, so no matrix-sized copy exists beside the
+/// packed one: each source row is BN-folded when \p bn is set, then the
+/// panel is packed for gemm_im2col_packed.
+void emit_conv_weights(PlanStep& step, const Tensor& src, const NodeState* bn,
+                       Tensor& bias, std::int64_t oc, std::int64_t row,
+                       float eps) {
+  step.weight = Tensor({packed_gemm_a_size(oc, row)});
+  if (bn == nullptr) {
+    pack_gemm_a_rows(oc, row, 0, oc, src.data(), step.weight.data());
+    return;
+  }
+  std::vector<float> w(static_cast<std::size_t>(kGemmPanelRows * row));
+  for (std::int64_t c0 = 0; c0 < oc; c0 += kGemmPanelRows) {
+    const std::int64_t rows = std::min(kGemmPanelRows, oc - c0);
+    std::copy(src.data() + c0 * row, src.data() + (c0 + rows) * row,
+              w.begin());
+    for (std::int64_t c = c0; c < c0 + rows; ++c) {
+      fold_bn_row(w.data() + (c - c0) * row, row, bias[c], *bn, c, eps);
+    }
+    pack_gemm_a_rows(oc, row, c0, rows, w.data(), step.weight.data());
   }
 }
 
@@ -136,7 +160,8 @@ void assign_arena(CompiledPlan& plan) {
 
 /// Post-compile int8 quantization (QUANTIZATION.md): calibrate activation
 /// ranges by replaying the still-fp32 plan over the calibration batch, then
-/// quantize every conv-family step's BN-folded weights per output channel
+/// quantize every conv-family step's BN-folded weight rows (read back out
+/// of the packed payload, bit for bit the fold's result) per output channel
 /// and attach the fused requantization scales. Slot ids are 1:1 with steps
 /// (each step allocates a fresh slot), so a conv input's calibrated range
 /// is simply its producer slot's observed absmax.
@@ -167,16 +192,22 @@ void quantize_plan(CompiledPlan& plan, const Tensor* calibration) {
   for (PlanStep& step : plan.steps) {
     if (!is_conv_kind(step.kind)) continue;
     const std::int64_t oc = step.out_shape.c;
-    const std::int64_t row = step.weight.numel() / oc;
-    quant::QuantizedWeights qw =
-        quant::quantize_weights(step.weight.data(), oc, row);
+    const std::int64_t row =
+        step.in_shape.c * step.attrs.kernel * step.attrs.kernel;
+    step.weight_q.resize(static_cast<std::size_t>(oc * row));
+    step.weight_scale.resize(static_cast<std::size_t>(oc));
+    PackedGemmARows rows(oc, row, step.weight.data());
+    for (std::int64_t c = 0; c < oc; ++c) {
+      const quant::QuantizedWeights q =
+          quant::quantize_weights(rows.row(c), 1, row);
+      std::copy(q.q.begin(), q.q.end(), step.weight_q.begin() + c * row);
+      step.weight_scale[static_cast<std::size_t>(c)] = q.scale[0];
+    }
     const float in_absmax =
         step.args[0] == kInputSlot
             ? input_absmax
             : slot_absmax[static_cast<std::size_t>(step.args[0])];
     step.in_scale = quant::scale_for_absmax(in_absmax);
-    step.weight_q = std::move(qw.q);
-    step.weight_scale = std::move(qw.scale);
     step.requant_scale.resize(static_cast<std::size_t>(oc));
     for (std::int64_t c = 0; c < oc; ++c) {
       step.requant_scale[static_cast<std::size_t>(c)] =
@@ -252,12 +283,12 @@ CompiledPlan PlanCompiler::compile(const graph::GraphExecutor& exec) const {
 
     const NodeState& ps = state[static_cast<std::size_t>(primary)];
     if (is_conv_kind(group.kind)) {
-      step.weight = ps.conv_weight;  // deep copy: the plan owns its weights
       const std::int64_t oc = pn.out_shape.c;
       const std::int64_t row =
           pn.in_shape.c * pn.attrs.kernel * pn.attrs.kernel;
       Tensor bias = ps.bias ? *ps.bias : Tensor({oc});
       bool has_bias = ps.bias.has_value();
+      const NodeState* fold = nullptr;
       if (group.kind == KernelKind::kConvBn ||
           group.kind == KernelKind::kConvBnRelu) {
         const int bn = group.nodes[1];
@@ -267,12 +298,12 @@ CompiledPlan PlanCompiler::compile(const graph::GraphExecutor& exec) const {
                      "fuse_graph folded a BN the legality pass refused");
         if (!identity[static_cast<std::size_t>(bn)]) {
           // Fold now; pre-folded executors already absorbed the BN.
-          fold_bn_into(step.weight, bias,
-                       state[static_cast<std::size_t>(bn)], oc, row, eps);
+          fold = &state[static_cast<std::size_t>(bn)];
         }
         has_bias = true;
         ++plan.folded_batchnorms;
       }
+      emit_conv_weights(step, ps.conv_weight, fold, bias, oc, row, eps);
       if (has_bias) step.bias = std::move(bias);
     } else if (group.kind == KernelKind::kLinear) {
       step.weight = ps.linear_weight;

@@ -105,13 +105,19 @@ std::size_t PlanExecutor::pooled_arenas() const {
 std::vector<float> PlanExecutor::acquire_arena(std::size_t needed) const {
   {
     MutexLock lock(pool_mu_);
-    for (std::size_t i = 0; i < pool_.size(); ++i) {
-      if (pool_[i].capacity() < needed) continue;
+    if (!pool_.empty()) {
+      // The first pooled buffer that fits. When none does, the last one is
+      // dropped and a fresh one takes its place, so the pool never holds
+      // more buffers than runs were in flight at once.
+      std::size_t i = 0;
+      while (i + 1 < pool_.size() && pool_[i].capacity() < needed) ++i;
       std::vector<float> buffer = std::move(pool_[i]);
       pool_.erase(pool_.begin() + static_cast<std::ptrdiff_t>(i));
-      PlanMetrics::get().reuses.add(1);
-      buffer.resize(needed);  // within capacity: no allocation
-      return buffer;
+      if (buffer.capacity() >= needed) {
+        PlanMetrics::get().reuses.add(1);
+        buffer.resize(needed);  // within capacity: no allocation
+        return buffer;
+      }
     }
   }
   PlanMetrics::get().allocs.add(1);
@@ -141,8 +147,8 @@ void PlanExecutor::run_step(const PlanStep& step, const float* in0,
       const bool relu = step.kind == KernelKind::kConvRelu ||
                         step.kind == KernelKind::kConvBnRelu;
       const float* bias = step.bias ? step.bias->data() : nullptr;
-      gemm_im2col(oc, 1.0f, step.weight.data(), in0, conv_spec(step, batch),
-                  0.0f, out);
+      gemm_im2col_packed(oc, 1.0f, step.weight.data(), in0,
+                         conv_spec(step, batch), 0.0f, out);
       if (bias || relu) conv_epilogue(out, batch, oc, hw, bias, relu);
       return;
     }

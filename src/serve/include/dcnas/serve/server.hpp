@@ -48,9 +48,10 @@ class Server {
 
   /// Admits one image — (C,H,W) or (1,C,H,W) — for \p model. The future
   /// yields the model output for that image alone, shaped as a batch of one
-  /// (e.g. (1, num_classes)); an unknown model or a failed run surfaces as
-  /// an exception on the future. Throws RejectedError (with reason()) under
-  /// overload or after shutdown.
+  /// (e.g. (1, num_classes)); a failed run, or a model evicted while the
+  /// request was queued, surfaces as an exception on the future. Throws
+  /// InvalidArgument for a model the registry does not hold, and
+  /// RejectedError (with reason()) under overload or after shutdown.
   std::future<Tensor> submit(const std::string& model, const Tensor& input);
 
   /// As above with an SLO deadline tag: the request must complete within

@@ -1,5 +1,7 @@
 #include "dcnas/serve/server.hpp"
 
+#include "dcnas/common/error.hpp"
+
 namespace dcnas::serve {
 
 Server::Server(std::shared_ptr<ModelRegistry> registry, ServerOptions options)
@@ -19,6 +21,13 @@ std::future<Tensor> Server::submit(const std::string& model,
 std::future<Tensor> Server::submit(const std::string& model,
                                    const Tensor& input,
                                    std::chrono::microseconds deadline) {
+  // An unknown model is refused here, on the caller's thread, so no
+  // exception object is handed across threads through a promise for it. A
+  // model evicted after this check still fails on its future.
+  if (!registry_->contains(model)) {
+    metrics_.counter(model_metric("serve.error.count", model)).add(1);
+    throw InvalidArgument("model not registered: " + model);
+  }
   try {
     return group_.submit(model, input, deadline);
   } catch (const RejectedError&) {

@@ -19,7 +19,9 @@
 ///    independent of thread count: each C element is accumulated by exactly
 ///    one micro-kernel chain in a fixed K-block order.
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "dcnas/tensor/tensor.hpp"
 
@@ -65,6 +67,64 @@ struct Im2colSpec {
 /// batch.
 void gemm_im2col(std::int64_t m, float alpha, const float* a, const float* im,
                  const Im2colSpec& spec, float beta, float* c);
+
+/// gemm_im2col with A packed once, ahead of time (pack_gemm_a_rows), instead
+/// of on every call: the form compiled inference plans keep conv weights in.
+/// Bitwise the same output as gemm_im2col on the unpacked A.
+void gemm_im2col_packed(std::int64_t m, float alpha, const float* a_packed,
+                        const float* im, const Im2colSpec& spec, float beta,
+                        float* c);
+
+/// Micro-panel rows and K-block columns of the packed-A layout.
+inline constexpr std::int64_t kGemmPanelRows = 4;
+inline constexpr std::int64_t kGemmBlockK = 256;
+
+/// The packed-A layout the drivers stream: for each K-block of
+/// kGemmBlockK columns (the last may be shorter), in order, the M rows as
+/// micro-panels of kGemmPanelRows rows, each stored column-major. A short
+/// last panel's missing rows are "pad lanes" and hold zero. M-blocks are
+/// whole panels, so the block at any row is an offset into this buffer.
+/// Floats needed for M x K:
+inline std::int64_t packed_gemm_a_size(std::int64_t m, std::int64_t k) {
+  return (m + kGemmPanelRows - 1) / kGemmPanelRows * kGemmPanelRows * k;
+}
+
+/// Where A(i, p) lives in packed A (M x K). For m <= i < the panel-rounded
+/// row count the same formula names the pad lanes.
+inline std::int64_t packed_gemm_a_index(std::int64_t m, std::int64_t k,
+                                        std::int64_t i, std::int64_t p) {
+  const std::int64_t pc = p / kGemmBlockK * kGemmBlockK;
+  const std::int64_t kc = std::min(kGemmBlockK, k - pc);
+  const std::int64_t i0 = i / kGemmPanelRows * kGemmPanelRows;
+  return packed_gemm_a_size(m, pc) + i0 * kc + (p - pc) * kGemmPanelRows +
+         (i - i0);
+}
+
+/// Packs rows [i0, i0 + rows) of A (M x K), given row-major at \p a, into
+/// \p packed (packed_gemm_a_size floats). i0 is a multiple of
+/// kGemmPanelRows, and so is \p rows unless the block ends at row M; that
+/// last block also writes the pad lanes (zero). Packing a few panels at a
+/// time needs no M x K staging copy.
+void pack_gemm_a_rows(std::int64_t m, std::int64_t k, std::int64_t i0,
+                      std::int64_t rows, const float* a, float* packed);
+
+/// Reads the rows of a packed A (M x K) back out, one micro-panel at a
+/// time, so each cache line of the packed buffer is read once when rows
+/// are read in order.
+class PackedGemmARows {
+ public:
+  PackedGemmARows(std::int64_t m, std::int64_t k, const float* packed);
+
+  /// Row \p i of A (K floats); valid until a row of another micro-panel is
+  /// read.
+  const float* row(std::int64_t i);
+
+ private:
+  std::int64_t m_, k_;
+  const float* packed_;
+  std::int64_t panel_ = -1;  ///< first row of the panel held in rows_
+  std::vector<float> rows_;  ///< kGemmPanelRows rows of K floats
+};
 
 /// Tensor-level convenience: returns A·B for 2-D tensors.
 Tensor matmul(const Tensor& a, const Tensor& b);

@@ -22,9 +22,9 @@ using gemm_detail::round_up;
 // gemm_detail::kMinMc rows), and kMaxPanel bounds the packed B panel (all
 // of K times the panel width), so scratch does not grow with N.
 // Correctness does not depend on any of these values.
-constexpr std::int64_t kMr = 4;
+constexpr std::int64_t kMr = kGemmPanelRows;
 constexpr std::int64_t kNr = 16;
-constexpr std::int64_t kKc = 256;
+constexpr std::int64_t kKc = kGemmBlockK;
 constexpr std::int64_t kMc = 128;
 constexpr std::int64_t kMaxPanel = std::int64_t{1} << 18;  // floats (1 MB)
 static_assert(kMc % kMr == 0, "A blocks must hold whole micro-panels");
@@ -205,18 +205,19 @@ thread_local std::vector<float> t_pack_a;
 thread_local std::vector<float> t_pack_b;
 
 /// Shared driver. For each N-panel: packs the panel's B for every K-block
-/// (parallel over slivers unless the grid has one task), then runs the task grid of (M-block x sliver
-/// group) cells in parallel; each task walks the K-blocks in order, packing
-/// its A block and sweeping register tiles sliver by sliver. Two fan-outs
-/// per panel, whatever K is. C(i, j) is stored where `lay` says. Every C
-/// element is produced by exactly one tile chain with a fixed K-block
-/// order, and a full tile and an edge tile add the same products, so
-/// results are bitwise identical regardless of thread count, schedule,
-/// grid or layout.
-template <typename PackA, typename PackB>
+/// (parallel over slivers unless the grid has one task), then runs the task
+/// grid of (M-block x sliver group) cells in parallel; each task walks the
+/// K-blocks in order, taking its A block from `a_block` (packed into the
+/// task's scratch, or a view into weights packed once) and sweeping
+/// register tiles sliver by sliver. Two fan-outs per panel, whatever K is.
+/// C(i, j) is stored where `lay` says. Every C element is produced by
+/// exactly one tile chain with a fixed K-block order, and a full tile and an
+/// edge tile add the same products, so results are bitwise identical
+/// regardless of thread count, schedule, grid, layout or where A was packed.
+template <typename ABlock, typename PackB>
 void gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
-                 const PackA& pack_a, const PackB& pack_b, const CLayout& lay,
-                 float* c) {
+                 const ABlock& a_block, const PackB& pack_b,
+                 const CLayout& lay, float* c) {
   const std::int64_t panel = gemm_detail::panel_width(n, k, kNr, kMaxPanel);
   if (t_pack_b.size() < static_cast<std::size_t>(k * panel)) {
     t_pack_b.resize(static_cast<std::size_t>(k * panel));
@@ -246,7 +247,8 @@ void gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
       if (t_pack_a.size() < static_cast<std::size_t>(kMc * kKc)) {
         t_pack_a.resize(static_cast<std::size_t>(kMc * kKc));
       }
-      float* ap = t_pack_a.data();
+      float* const scratch = t_pack_a.data();
+      const float* ap = nullptr;
       float tile[kMr * kNr];
       const std::int64_t cells = grid.cells();
       for (std::int64_t pc = 0; pc < k; pc += kKc) {
@@ -258,7 +260,7 @@ void gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
           const std::int64_t ic = blk * grid.mc;
           const std::int64_t mc = std::min(grid.mc, m - ic);
           if (blk != packed) {
-            pack_a(pc, kc, ic, mc, ap);
+            ap = a_block(pc, kc, ic, mc, scratch);
             packed = blk;
           }
           const std::int64_t s0 = t % grid.n_groups * grid.slivers;
@@ -294,7 +296,67 @@ void gemm_driver(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   }
 }
 
+/// A block of a row-major A (M x lda), packed into the task's scratch.
+auto rowmajor_a(const float* a, std::int64_t lda) {
+  return [a, lda](std::int64_t pc, std::int64_t kc, std::int64_t ic,
+                  std::int64_t mc, float* scratch) -> const float* {
+    pack_a_rowmajor(a + ic * lda + pc, lda, mc, kc, scratch);
+    return scratch;
+  };
+}
+
+/// The batched conv lowering over any A source.
+template <typename ABlock>
+void conv_driver(std::int64_t m, float alpha, const ABlock& a_block,
+                 const float* im, const Im2colSpec& spec, float beta,
+                 float* c) {
+  DCNAS_CHECK(m >= 0 && spec.channels > 0 && spec.batch >= 1,
+              "gemm_im2col bad dimensions");
+  const std::int64_t k = spec.channels * spec.kernel * spec.kernel;
+  const std::int64_t n = spec.batch * spec.out_h() * spec.out_w();
+  if (m == 0 || n == 0) return;
+  scale_c(m, n, beta, c);  // the B x M x OH·OW output is one dense block
+  if (alpha == 0.0f) return;
+  gemm_driver(
+      m, n, k, alpha, a_block,
+      [&](std::int64_t pc, std::int64_t kc, std::int64_t j0, std::int64_t j1,
+          float* dst) { pack_b_im2col(im, spec, pc, kc, j0, j1, dst); },
+      CLayout::nchw(m, spec), c);
+}
+
 }  // namespace
+
+void pack_gemm_a_rows(std::int64_t m, std::int64_t k, std::int64_t i0,
+                      std::int64_t rows, const float* a, float* packed) {
+  for (std::int64_t pc = 0; pc < k; pc += kKc) {
+    pack_a_rowmajor(a + pc, k, rows, std::min(kKc, k - pc),
+                    packed + packed_gemm_a_index(m, k, i0, pc));
+  }
+}
+
+PackedGemmARows::PackedGemmARows(std::int64_t m, std::int64_t k,
+                                 const float* packed)
+    : m_(m), k_(k), packed_(packed),
+      rows_(static_cast<std::size_t>(kMr * k)) {}
+
+const float* PackedGemmARows::row(std::int64_t i) {
+  const std::int64_t i0 = i / kMr * kMr;
+  if (i0 != panel_) {
+    // Whole panels, pad lanes included: rows_ has room for them.
+    float* dst = rows_.data();
+    for (std::int64_t pc = 0; pc < k_; pc += kKc) {
+      const float* src = packed_ + packed_gemm_a_index(m_, k_, i0, pc);
+      const std::int64_t kc = std::min(kKc, k_ - pc);
+      for (std::int64_t r = 0; r < kMr; ++r) {
+        for (std::int64_t p = 0; p < kc; ++p) {
+          dst[r * k_ + pc + p] = src[p * kMr + r];
+        }
+      }
+    }
+    panel_ = i0;
+  }
+  return rows_.data() + (i - i0) * k_;
+}
 
 std::int64_t Im2colSpec::out_h() const {
   return conv_out_size(height, kernel, stride, padding);
@@ -311,9 +373,7 @@ void gemm(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   scale_c(m, n, beta, c);
   if (k == 0 || alpha == 0.0f) return;
   gemm_driver(
-      m, n, k, alpha,
-      [&](std::int64_t pc, std::int64_t kc, std::int64_t ic, std::int64_t mc,
-          float* dst) { pack_a_rowmajor(a + ic * k + pc, k, mc, kc, dst); },
+      m, n, k, alpha, rowmajor_a(a, k),
       [&](std::int64_t pc, std::int64_t kc, std::int64_t j0, std::int64_t j1,
           float* dst) { pack_b_rowmajor(b + pc * n, n, kc, j0, j1, dst); },
       CLayout::row_major(m, n), c);
@@ -326,9 +386,7 @@ void gemm_bt(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   scale_c(m, n, beta, c);
   if (k == 0 || alpha == 0.0f) return;
   gemm_driver(
-      m, n, k, alpha,
-      [&](std::int64_t pc, std::int64_t kc, std::int64_t ic, std::int64_t mc,
-          float* dst) { pack_a_rowmajor(a + ic * k + pc, k, mc, kc, dst); },
+      m, n, k, alpha, rowmajor_a(a, k),
       [&](std::int64_t pc, std::int64_t kc, std::int64_t j0, std::int64_t j1,
           float* dst) { pack_b_transposed(b_t + pc, k, kc, j0, j1, dst); },
       CLayout::row_major(m, n), c);
@@ -344,8 +402,9 @@ void gemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
   gemm_driver(
       m, n, k, alpha,
       [&](std::int64_t pc, std::int64_t kc, std::int64_t ic, std::int64_t mc,
-          float* dst) {
-        pack_a_transposed(a_t + pc * m + ic, m, mc, kc, dst);
+          float* scratch) -> const float* {
+        pack_a_transposed(a_t + pc * m + ic, m, mc, kc, scratch);
+        return scratch;
       },
       [&](std::int64_t pc, std::int64_t kc, std::int64_t j0, std::int64_t j1,
           float* dst) { pack_b_rowmajor(b + pc * n, n, kc, j0, j1, dst); },
@@ -354,20 +413,21 @@ void gemm_at(std::int64_t m, std::int64_t n, std::int64_t k, float alpha,
 
 void gemm_im2col(std::int64_t m, float alpha, const float* a, const float* im,
                  const Im2colSpec& spec, float beta, float* c) {
-  DCNAS_CHECK(m >= 0 && spec.channels > 0 && spec.batch >= 1,
-              "gemm_im2col bad dimensions");
   const std::int64_t k = spec.channels * spec.kernel * spec.kernel;
-  const std::int64_t n = spec.batch * spec.out_h() * spec.out_w();
-  if (m == 0 || n == 0) return;
-  scale_c(m, n, beta, c);  // the B x M x OH·OW output is one dense block
-  if (alpha == 0.0f) return;
-  gemm_driver(
-      m, n, k, alpha,
-      [&](std::int64_t pc, std::int64_t kc, std::int64_t ic, std::int64_t mc,
-          float* dst) { pack_a_rowmajor(a + ic * k + pc, k, mc, kc, dst); },
-      [&](std::int64_t pc, std::int64_t kc, std::int64_t j0, std::int64_t j1,
-          float* dst) { pack_b_im2col(im, spec, pc, kc, j0, j1, dst); },
-      CLayout::nchw(m, spec), c);
+  conv_driver(m, alpha, rowmajor_a(a, k), im, spec, beta, c);
+}
+
+void gemm_im2col_packed(std::int64_t m, float alpha, const float* a_packed,
+                        const float* im, const Im2colSpec& spec, float beta,
+                        float* c) {
+  const std::int64_t k = spec.channels * spec.kernel * spec.kernel;
+  conv_driver(
+      m, alpha,
+      [a_packed, m, k](std::int64_t pc, std::int64_t, std::int64_t ic,
+                       std::int64_t, float*) {
+        return a_packed + packed_gemm_a_index(m, k, ic, pc);
+      },
+      im, spec, beta, c);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {

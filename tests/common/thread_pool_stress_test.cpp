@@ -104,5 +104,31 @@ TEST(ThreadPoolStressTest, TasksSubmittingTasksDrainCompletely) {
   expect_all_delivered(children);
 }
 
+// Stress: four non-pool threads issue 10^5 tiny fork-join rounds between
+// them at once. Each round's job record lives on its caller's stack, so a
+// helper touching a record after its round returned, or a lost wake-up,
+// shows here (and under TSan, which runs this test).
+TEST(ThreadPoolStressTest, ConcurrentForkJoinRoundsKeepJobRecordsAlive) {
+  constexpr int kThreads = 4;
+  constexpr int kRoundsPerThread = 25000;
+  std::vector<std::int64_t> totals(kThreads, 0);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&total = totals[static_cast<std::size_t>(t)]] {
+      for (int r = 0; r < kRoundsPerThread; ++r) {
+        std::atomic<std::int64_t> round{0};  // dies with the round
+        parallel_for_chunked(0, 8, [&round](std::int64_t lo, std::int64_t hi) {
+          round.fetch_add(hi - lo, std::memory_order_relaxed);
+        });
+        total += round.load(std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& th : callers) th.join();
+  for (const std::int64_t total : totals) {
+    EXPECT_EQ(total, std::int64_t{kRoundsPerThread} * 8);
+  }
+}
+
 }  // namespace
 }  // namespace dcnas

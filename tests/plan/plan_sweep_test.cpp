@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "dcnas/analysis/plan_verifier.hpp"
 #include "dcnas/graph/builder.hpp"
@@ -19,42 +21,61 @@
 #include "dcnas/nn/resnet.hpp"
 #include "dcnas/plan/compiler.hpp"
 
+namespace dcnas::nas {
+void PrintTo(const TrialConfig& cfg, std::ostream* os) {
+  *os << cfg.canonical_arch_key();
+}
+}  // namespace dcnas::nas
+
 namespace dcnas::plan {
 namespace {
 
 constexpr std::int64_t kSweepInputHw = 24;
 
-TEST(PlanSweepTest, AllLatticeConfigsCompileAndVerifyClean) {
+/// One configuration per distinct plan, in enumeration order.
+std::vector<nas::TrialConfig> distinct_configs() {
+  std::vector<nas::TrialConfig> out;
+  std::set<std::string> seen;
+  for (const auto& cfg : nas::SearchSpace::enumerate_all()) {
+    if (seen.insert(cfg.canonical_arch_key()).second) out.push_back(cfg);
+  }
+  return out;
+}
+
+TEST(PlanSweepConfigsTest, ListsAll360DistinctConfigs) {
   const auto all = nas::SearchSpace::enumerate_all();
   ASSERT_EQ(static_cast<std::int64_t>(all.size()),
             nas::SearchSpace::lattice_size());
-
-  const analysis::PlanVerifier verifier = analysis::PlanVerifier::standard();
-  std::set<std::string> seen;
-  std::size_t verified = 0;
-  for (const auto& cfg : all) {
-    const std::string key =
-        "ch" + std::to_string(cfg.channels) + "_" + cfg.canonical_arch_key();
-    if (!seen.insert(key).second) continue;
-
-    const nn::ResNetConfig rc = cfg.to_resnet_config();
-    Rng rng(1234);
-    nn::ConfigurableResNet model(rc, rng);
-    model.set_training(false);
-    graph::GraphExecutor exec(graph::build_resnet_graph(rc, kSweepInputHw),
-                              model);
-    const CompiledPlan plan = compile_plan(exec);
-    const analysis::VerifyResult result = verifier.verify(plan, exec);
-    ASSERT_TRUE(result.ok())
-        << cfg.lattice_key() << ":\n" << result.to_string();
-    ASSERT_TRUE(result.diagnostics.empty())
-        << cfg.lattice_key() << ":\n" << result.to_string();
-    ++verified;
-  }
   // 288 arch points × 2 channel options, minus pool-geometry collapse for
   // the no-pool configurations.
-  EXPECT_EQ(verified, 360u);
+  EXPECT_EQ(distinct_configs().size(), 360u);
 }
+
+// One test per distinct configuration, so each runs (and times out) on its
+// own.
+class PlanSweepTest : public ::testing::TestWithParam<nas::TrialConfig> {};
+
+TEST_P(PlanSweepTest, CompilesAndVerifiesClean) {
+  const nas::TrialConfig& cfg = GetParam();
+  const nn::ResNetConfig rc = cfg.to_resnet_config();
+  Rng rng(1234);
+  nn::ConfigurableResNet model(rc, rng);
+  model.set_training(false);
+  graph::GraphExecutor exec(graph::build_resnet_graph(rc, kSweepInputHw),
+                            model);
+  const CompiledPlan plan = compile_plan(exec);
+  const analysis::VerifyResult result =
+      analysis::PlanVerifier::standard().verify(plan, exec);
+  ASSERT_TRUE(result.ok()) << cfg.lattice_key() << ":\n" << result.to_string();
+  ASSERT_TRUE(result.diagnostics.empty())
+      << cfg.lattice_key() << ":\n" << result.to_string();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LatticeConfigs, PlanSweepTest, ::testing::ValuesIn(distinct_configs()),
+    [](const ::testing::TestParamInfo<nas::TrialConfig>& info) {
+      return info.param.canonical_arch_key();
+    });
 
 }  // namespace
 }  // namespace dcnas::plan

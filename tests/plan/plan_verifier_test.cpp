@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -12,6 +13,8 @@
 #include "dcnas/graph/builder.hpp"
 #include "dcnas/nn/resnet.hpp"
 #include "dcnas/plan/compiler.hpp"
+#include "dcnas/plan/executor.hpp"
+#include "dcnas/tensor/gemm.hpp"
 
 namespace dcnas::analysis {
 namespace {
@@ -241,7 +244,65 @@ TEST(PlanVerifierTest, DetectsTruncatedWeights) {
   plan.steps[static_cast<std::size_t>(t)].weight = Tensor({5});
   const VerifyResult result = verify(plan, *f.exec);
   EXPECT_FALSE(result.ok());
-  EXPECT_TRUE(result.has_rule(rules::kPlanWeightShape)) << result.to_string();
+  // A conv payload is packed, so its size is a layout defect.
+  EXPECT_TRUE(result.has_rule(rules::kPlanWeightLayout)) << result.to_string();
+}
+
+/// conv(6 channels) -> BN -> ReLU -> GAP -> Linear: every lattice width
+/// is a multiple of the 4-row micro-panel, but six channels are not, so
+/// this conv's packed weights carry pad lanes.
+GraphExecutor six_channel_executor() {
+  ModelGraph g;
+  const int in = g.add_input({3, 8, 8});
+  const int conv = g.add_conv(in, 6, 3, 1, 1, "conv");
+  const int bn = g.add_batchnorm(conv, "bn");
+  const int relu = g.add_relu(bn, "relu");
+  const int gap = g.add_global_avgpool(relu, "gap");
+  const int fc = g.add_linear(gap, 2, "fc");
+  g.add_output(fc);
+  Rng rng(5);
+  std::vector<graph::NodeState> state(g.size());
+  state[conv].conv_weight = Tensor::rand_uniform({6, 27}, rng, -1.0f, 1.0f);
+  graph::NodeState& b = state[static_cast<std::size_t>(bn)];
+  b.bn_gamma = Tensor::rand_uniform({6}, rng, 0.5f, 1.5f);
+  b.bn_beta = Tensor::rand_uniform({6}, rng, -0.5f, 0.5f);
+  b.bn_mean = Tensor::rand_uniform({6}, rng, -0.5f, 0.5f);
+  b.bn_var = Tensor::rand_uniform({6}, rng, 0.5f, 1.5f);
+  state[fc].linear_weight = Tensor::rand_uniform({2, 6}, rng, -1.0f, 1.0f);
+  state[fc].bias = Tensor::rand_uniform({2}, rng, -1.0f, 1.0f);
+  return GraphExecutor::from_state(std::move(g), std::move(state),
+                                   std::vector<bool>(7, false));
+}
+
+TEST(PlanVerifierTest, DetectsNonZeroPadLane) {
+  const GraphExecutor exec = six_channel_executor();
+  CompiledPlan plan = compile_plan(exec);
+  ASSERT_TRUE(verify(plan, exec).ok());
+  {
+    // The padded payload runs: the plan agrees with the graph.
+    Rng rng(9);
+    const Tensor x = Tensor::rand_uniform({3, 3, 8, 8}, rng, -1.0f, 1.0f);
+    const Tensor want = exec.run(x);
+    const Tensor got = plan::PlanExecutor(plan).run(x);
+    ASSERT_EQ(got.numel(), want.numel());
+    for (std::int64_t j = 0; j < want.numel(); ++j) {
+      EXPECT_NEAR(got[j], want[j], 1e-5) << j;
+    }
+  }
+  const int t = find_step(plan, KernelKind::kConvBnRelu);
+  ASSERT_GE(t, 0);
+  PlanStep& step = plan.steps[static_cast<std::size_t>(t)];
+  // Rows 6 and 7 of the stem's last micro-panel are pad lanes.
+  const std::int64_t oc = 6, row = 27;
+  ASSERT_EQ(step.weight.numel(), packed_gemm_a_size(oc, row));
+  const std::int64_t pad = packed_gemm_a_index(oc, row, 7, 20);
+  EXPECT_EQ(step.weight[pad], 0.0f);
+  step.weight[pad] = 1.0f;
+  const VerifyResult result = verify(plan, exec);
+  EXPECT_FALSE(result.ok());
+  EXPECT_TRUE(result.has_rule(rules::kPlanWeightLayout)) << result.to_string();
+  // The rows themselves are intact, so folding replays clean.
+  EXPECT_FALSE(result.has_rule(rules::kPlanFoldError)) << result.to_string();
 }
 
 TEST(PlanVerifierTest, DetectsPerturbedFoldedWeight) {

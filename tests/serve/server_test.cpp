@@ -121,13 +121,29 @@ TEST(ServerTest, ZeroWorkersAndReplicasServeAsOne) {
   EXPECT_EQ(testing::request_count(server.metrics(), "m"), 1);
 }
 
-TEST(ServerTest, UnknownModelSurfacesErrorOnFuture) {
+TEST(ServerTest, UnknownModelThrowsFromSubmit) {
   Server server(make_registry(), options(1, 1, ms(0)));
   Rng rng(5);
-  auto future = server.submit("ghost", testing::make_image(rng));
-  EXPECT_THROW(future.get(), InvalidArgument);
+  EXPECT_THROW(server.submit("ghost", testing::make_image(rng)),
+               InvalidArgument);
   EXPECT_EQ(testing::error_count(server.metrics(), "ghost"), 1);
   EXPECT_EQ(testing::request_count(server.metrics(), "ghost"), 0);
+  EXPECT_EQ(server.pending(), 0u);
+}
+
+// A model evicted while its request waits in the queue is still answered,
+// with the failure on the request's future.
+TEST(ServerTest, ModelEvictedWhileQueuedFailsOnFuture) {
+  auto registry = make_registry();
+  // The long delay holds the request in the queue until shutdown drains it.
+  Server server(registry, options(1, 1024, ms(60000)));
+  Rng rng(6);
+  auto future = server.submit("m", testing::make_image(rng));
+  ASSERT_TRUE(registry->evict("m"));
+  server.shutdown();
+  EXPECT_THROW(future.get(), InvalidArgument);
+  EXPECT_EQ(testing::error_count(server.metrics(), "m"), 1);
+  EXPECT_EQ(testing::request_count(server.metrics(), "m"), 0);
 }
 
 // Acceptance (c) + (d): a full queue rejects instead of growing, and

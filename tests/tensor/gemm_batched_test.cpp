@@ -105,6 +105,54 @@ TEST_P(GemmIm2colBatchTest, Int8BatchEqualsPerSampleCallsBitwise) {
   }
 }
 
+// Weights packed once ahead of time (what compiled plans hold) give the
+// same bits as packing them on every call.
+TEST_P(GemmIm2colBatchTest, PrePackedWeightsMatchPerCallPackingBitwise) {
+  const BatchCase c = GetParam();
+  Rng rng(static_cast<std::uint64_t>(c.channels * 31 + c.out_ch));
+  const std::int64_t k = c.channels * c.kernel * c.kernel;
+  const std::vector<float> w = random_vec(c.out_ch * k, rng);
+  // Packed one micro-panel at a time, as the plan compiler does, over a
+  // buffer whose pad lanes start non-zero.
+  std::vector<float> packed(
+      static_cast<std::size_t>(packed_gemm_a_size(c.out_ch, k)), -1.0f);
+  for (std::int64_t i0 = 0; i0 < c.out_ch; i0 += kGemmPanelRows) {
+    pack_gemm_a_rows(c.out_ch, k, i0, std::min(kGemmPanelRows, c.out_ch - i0),
+                     w.data() + i0 * k, packed.data());
+  }
+  // Every element sits where packed_gemm_a_index says and reads back, and
+  // the pad lanes (rows up to the next micro-panel) are zero.
+  PackedGemmARows rows(c.out_ch, k, packed.data());
+  const std::int64_t padded = static_cast<std::int64_t>(packed.size()) / k;
+  for (std::int64_t i = 0; i < padded; ++i) {
+    for (std::int64_t p = 0; p < k; ++p) {
+      const float want =
+          i < c.out_ch ? w[static_cast<std::size_t>(i * k + p)] : 0.0f;
+      ASSERT_EQ(packed[static_cast<std::size_t>(
+                    packed_gemm_a_index(c.out_ch, k, i, p))],
+                want)
+          << c << " row " << i << " col " << p;
+      if (i < c.out_ch) {
+        ASSERT_EQ(rows.row(i)[p], want);
+      }
+    }
+  }
+  const std::vector<float> im =
+      random_vec(32 * c.channels * c.hw * c.hw, rng);
+  for (const std::int64_t batch : kBatches) {
+    const Im2colSpec spec = spec_of(c, batch);
+    const std::size_t out =
+        static_cast<std::size_t>(batch * c.out_ch * spec.out_h() *
+                                 spec.out_w());
+    std::vector<float> want(out), got(out);
+    gemm_im2col(c.out_ch, 1.0f, w.data(), im.data(), spec, 0.0f, want.data());
+    gemm_im2col_packed(c.out_ch, 1.0f, packed.data(), im.data(), spec, 0.0f,
+                       got.data());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), out * sizeof(float)), 0)
+        << c << " batch=" << batch;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, GemmIm2colBatchTest,
     ::testing::Values(
